@@ -13,11 +13,11 @@ from flowrank import (
     build_index,
     format_trec_run,
     load_index,
-    ordered_window_count,
     sdm_rewriter,
     tokenize,
     weighted_bm25_retriever,
 )
+from flowrank.index import count_adjacent
 
 CORPUS = [
     ("d1", "the quick brown fox"),
@@ -42,9 +42,11 @@ for f in sorted(index_dir.iterdir()):
 index = load_index(index_dir)
 print("df(fox) =", index.df("fox"), " cf(quick) =", index.cf("quick"))
 
-# Positions are stored, so adjacent-pair counts are exact.
-d3 = index.doc("d3").doc_id
-print("ordered (quick, fox) in d3:", ordered_window_count(index, "quick", "fox", d3))
+# Positions are stored, so adjacent-pair counts are exact.  Postings are
+# (doc_id, tf, positions) tuples; docnos() maps a doc_id back to its docno.
+d3 = index.docnos().index("d3")
+quick, fox = ({doc_id: pos for doc_id, _, pos in index.postings(t)} for t in ("quick", "fox"))
+print("ordered (quick, fox) in d3:", count_adjacent(quick[d3], fox[d3]))
 
 topics = Relation.from_dicts(
     [{"qid": "q1", "query": "quick fox"}, {"qid": "q2", "query": "lazy dog"}],

@@ -33,7 +33,7 @@ from .frames import (
     read_topics,
     sort_and_rank,
 )
-from .index import Index, IndexStats, build_index, load_index, ordered_window_count, tokenize
+from .index import Index, IndexStats, build_index, load_index, tokenize
 from .inspect import (
     IoReport,
     ValidationDiagnostic,

@@ -9,7 +9,7 @@ from pathlib import Path
 from . import inspect as fr_inspect
 from .algebra import execute
 from .dsl import elaborate, parse, render
-from .errors import FlowrankError, path_str
+from .errors import FlowrankError, cols_str, path_str
 from .frames import format_trec_run, read_topics
 from .index import build_index, load_index, read_corpus
 from .mcp import ServerConfig, serve
@@ -33,10 +33,6 @@ def _column_set(arg: str) -> set[str]:
     return {c.strip() for c in arg.split(",") if c.strip()}
 
 
-def _fmt_cols(cols) -> str:
-    return "{" + ", ".join(sorted(cols)) + "}"
-
-
 def cmd_index(args) -> int:
     stats = build_index(read_corpus(args.corpus), args.out)
     print(f"indexed {stats.n_docs} documents ({stats.total_tokens} tokens) into {args.out}")
@@ -50,7 +46,7 @@ def cmd_search(args) -> int:
     missing = {"qid", "docno", "score", "rank"} - set(result.columns)
     if missing:
         raise FlowrankError(
-            f"pipeline output is not a ranking: missing columns {_fmt_cols(missing)}"
+            f"pipeline output is not a ranking: missing columns {cols_str(missing)}"
         )
     sys.stdout.write(format_trec_run(result, args.tag))
     return 0
@@ -71,7 +67,7 @@ def cmd_inspect(args) -> int:
     report = fr_inspect.io_report(node)
     print("accepted inputs:")
     for accepted in report.accepted_inputs:
-        print(f"  {_fmt_cols(accepted)} -> {_fmt_cols(report.outputs_for[accepted])}")
+        print(f"  {cols_str(accepted)} -> {cols_str(report.outputs_for[accepted])}")
     if not report.accepted_inputs:
         print("  (none)")
     print("subtransformers:")

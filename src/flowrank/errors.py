@@ -12,6 +12,11 @@ def path_str(path) -> str:
     return "[" + ".".join(str(i) for i in path) + "]"
 
 
+def cols_str(names) -> str:
+    """Render a column set like ``{docno, qid}``, names sorted."""
+    return "{" + ", ".join(sorted(names)) + "}"
+
+
 class FlowrankError(Exception):
     """Base class for all domain errors."""
 
@@ -44,8 +49,8 @@ class MissingColumn(FlowrankError):
         self.present = frozenset(present)
         prefix = f"{who}: " if who else ""
         super().__init__(
-            f"{prefix}missing columns {_cols(self.missing)}: "
-            f"requires {_cols(self.required)} but only {_cols(self.present)} present"
+            f"{prefix}missing columns {cols_str(self.missing)}: "
+            f"requires {cols_str(self.required)} but only {cols_str(self.present)} present"
         )
 
 
@@ -168,7 +173,3 @@ class NotServable(FlowrankError):
 class BindError(FlowrankError):
     def __init__(self, host: str, port: int, reason: str):
         super().__init__(f"cannot bind {host}:{port}: {reason}")
-
-
-def _cols(names) -> str:
-    return "{" + ", ".join(sorted(names)) + "}"

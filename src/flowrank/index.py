@@ -16,6 +16,7 @@ handle (inspection, validation) never touch document data.
 from __future__ import annotations
 
 import json
+import os
 import re
 import threading
 from dataclasses import dataclass
@@ -24,7 +25,6 @@ from typing import Iterable, Iterator
 
 from .errors import (
     CorruptIndex,
-    DataError,
     DuplicateDocno,
     EmptyCorpus,
     FormatError,
@@ -43,11 +43,8 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
-@dataclass(frozen=True)
-class Posting:
-    doc_id: int
-    tf: int
-    positions: tuple[int, ...]
+# (doc_id, tf, positions) entries of one term, ascending doc_id
+PostingList = tuple[tuple[int, int, tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -55,14 +52,6 @@ class IndexStats:
     n_docs: int
     avg_doc_len: float
     total_tokens: int
-
-
-@dataclass(frozen=True)
-class DocRecord:
-    doc_id: int
-    docno: str
-    doc_len: int
-    text: str
 
 
 def _dumps(obj) -> str:
@@ -86,9 +75,14 @@ def read_corpus(path) -> Iterator[tuple[str, str]]:
 
 
 def build_index(corpus: Iterable[tuple[str, str]], out_dir) -> IndexStats:
-    """Tokenize a corpus and write the index directory; returns its stats."""
+    """Tokenize a corpus and write the index directory; returns its stats.
+
+    ``meta.json`` is removed first and written last, through a temporary
+    sibling and ``os.replace``, so a build that fails part way leaves a
+    directory that :func:`load_index` rejects instead of one that opens.
+    """
     out_dir = Path(out_dir)
-    docs: list[DocRecord] = []
+    docs: list[tuple[str, int, str]] = []  # (docno, doc_len, text), position is doc_id
     seen: set[str] = set()
     postings: dict[str, list[tuple[int, tuple[int, ...]]]] = {}
     total_tokens = 0
@@ -99,7 +93,7 @@ def build_index(corpus: Iterable[tuple[str, str]], out_dir) -> IndexStats:
         doc_id = len(docs)
         tokens = tokenize(text)
         total_tokens += len(tokens)
-        docs.append(DocRecord(doc_id, docno, len(tokens), text))
+        docs.append((docno, len(tokens), text))
         by_term: dict[str, list[int]] = {}
         for pos, term in enumerate(tokens):
             by_term.setdefault(term, []).append(pos)
@@ -108,25 +102,14 @@ def build_index(corpus: Iterable[tuple[str, str]], out_dir) -> IndexStats:
     if not docs:
         raise EmptyCorpus()
     stats = IndexStats(len(docs), total_tokens / len(docs), total_tokens)
+    meta_file = out_dir / "meta.json"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "meta.json").write_text(
-            _dumps(
-                {
-                    "format_version": FORMAT_VERSION,
-                    "n_docs": stats.n_docs,
-                    "total_tokens": stats.total_tokens,
-                    "avg_doc_len": stats.avg_doc_len,
-                }
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+        meta_file.unlink(missing_ok=True)
         with open(out_dir / "docs.jsonl", "w", encoding="utf-8") as fh:
-            for d in docs:
+            for doc_id, (docno, doc_len, text) in enumerate(docs):
                 fh.write(
-                    _dumps({"doc_id": d.doc_id, "docno": d.docno, "doc_len": d.doc_len, "text": d.text})
-                    + "\n"
+                    _dumps({"doc_id": doc_id, "docno": docno, "doc_len": doc_len, "text": text}) + "\n"
                 )
         with open(out_dir / "postings.jsonl", "w", encoding="utf-8") as fh:
             for term in sorted(postings):
@@ -142,17 +125,100 @@ def build_index(corpus: Iterable[tuple[str, str]], out_dir) -> IndexStats:
                     )
                     + "\n"
                 )
+        tmp_file = out_dir / "meta.json.tmp"
+        tmp_file.write_text(
+            _dumps(
+                {
+                    "format_version": FORMAT_VERSION,
+                    "n_docs": stats.n_docs,
+                    "total_tokens": stats.total_tokens,
+                    "avg_doc_len": stats.avg_doc_len,
+                }
+            )
+            + "\n",
+            encoding="utf-8",
+        )
+        os.replace(tmp_file, meta_file)
     except OSError as exc:
         raise IndexIOError(f"cannot write index under {out_dir}: {exc}") from exc
     return stats
 
 
+def _read_lines(file: Path) -> list[str]:
+    # split on "\n" only: str.splitlines would also break inside stored text
+    # at characters json.dumps leaves unescaped, such as U+0085 and U+2028
+    try:
+        lines = file.read_text(encoding="utf-8").split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CorruptIndex(str(file), str(exc)) from exc
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+# the exceptions that malformed JSON values raise when unpacked and converted
+_BAD_VALUE = (ValueError, KeyError, TypeError, OverflowError)
+
+
+def _read_docs(file: Path, n_docs: int) -> tuple[tuple[str, ...], tuple[int, ...], dict[str, str]]:
+    """Docnos and lengths indexed by doc_id, and docno -> text; checked."""
+    docnos: list[str] = []
+    doc_lens: list[int] = []
+    texts: dict[str, str] = {}
+    for lineno, line in enumerate(_read_lines(file), start=1):
+        try:
+            obj = json.loads(line)
+            doc_id, docno = int(obj["doc_id"]), str(obj["docno"])
+            doc_len, text = int(obj["doc_len"]), str(obj["text"])
+        except _BAD_VALUE as exc:
+            raise CorruptIndex(str(file), f"line {lineno}: {exc}") from exc
+        if doc_id != len(docnos):
+            raise CorruptIndex(str(file), f"line {lineno}: doc_id {doc_id} is not dense")
+        if docno in texts:
+            raise CorruptIndex(str(file), f"line {lineno}: duplicate docno {docno!r}")
+        docnos.append(docno)
+        doc_lens.append(doc_len)
+        texts[docno] = text
+    if len(docnos) != n_docs:
+        raise CorruptIndex(str(file), f"{len(docnos)} documents but meta says {n_docs}")
+    return tuple(docnos), tuple(doc_lens), texts
+
+
+def _read_postings(file: Path, n_docs: int) -> dict[str, PostingList]:
+    """Term -> ``(doc_id, tf, positions)`` tuples; checked against *n_docs*."""
+    table = {}
+    for lineno, line in enumerate(_read_lines(file), start=1):
+        try:
+            obj = json.loads(line)
+            term, df, cf = str(obj["term"]), obj["df"], obj["cf"]
+            plist = tuple(
+                (int(doc_id), int(tf), tuple(int(p) for p in positions))
+                for doc_id, tf, positions in obj["postings"]
+            )
+        except _BAD_VALUE as exc:
+            raise CorruptIndex(str(file), f"line {lineno}: {exc}") from exc
+        prev = -1
+        for doc_id, tf, positions in plist:
+            if tf != len(positions) or any(a >= b for a, b in zip(positions, positions[1:])):
+                raise CorruptIndex(str(file), f"line {lineno}: bad posting for term {term!r}")
+            if not prev < doc_id < n_docs:  # prev starts at -1: in range and ascending
+                raise CorruptIndex(str(file), f"line {lineno}: doc_id {doc_id} out of range or order")
+            prev = doc_id
+        if df != len(plist) or cf != sum(tf for _, tf, _ in plist):
+            raise CorruptIndex(str(file), f"line {lineno}: df/cf inconsistent for term {term!r}")
+        table[term] = plist
+    return table
+
+
 class Index:
     """Read-only handle over an index directory; safe for concurrent readers.
 
-    ``meta.json`` is read and checked on open; ``docs.jsonl`` and
-    ``postings.jsonl`` load lazily on first data access (see
-    :attr:`data_loaded`).
+    ``meta.json`` is read and checked on open.  The first data access reads
+    and checks ``docs.jsonl`` and ``postings.jsonl`` together, in one load
+    under one lock (see :attr:`data_loaded`), and keeps them as plain data:
+    documents as columns indexed by doc_id (:meth:`docnos`,
+    :meth:`doc_lens`) plus a docno-to-text map, and postings as tuples of
+    ``(doc_id, tf, positions)``.
     """
 
     def __init__(self, path):
@@ -160,7 +226,7 @@ class Index:
         meta_file = self.path / "meta.json"
         try:
             meta = json.loads(meta_file.read_text(encoding="utf-8"))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CorruptIndex(str(meta_file), str(exc)) from exc
         except json.JSONDecodeError as exc:
             raise CorruptIndex(str(meta_file), f"invalid JSON: {exc}") from exc
@@ -172,17 +238,18 @@ class Index:
             self._stats = IndexStats(
                 int(meta["n_docs"]), float(meta["avg_doc_len"]), int(meta["total_tokens"])
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except _BAD_VALUE as exc:
             raise CorruptIndex(str(meta_file), f"bad stats fields: {exc}") from exc
-        self._docs: list[DocRecord] | None = None
-        self._by_docno: dict[str, DocRecord] | None = None
-        self._postings: dict[str, tuple[Posting, ...]] | None = None
+        self._docnos: tuple[str, ...] = ()
+        self._doc_lens: tuple[int, ...] = ()
+        self._texts: dict[str, str] = {}
+        self._postings: dict[str, PostingList] | None = None
         self._load_lock = threading.Lock()
 
     @property
     def data_loaded(self) -> bool:
-        """Whether any document or postings data has been read yet."""
-        return self._docs is not None or self._postings is not None
+        """Whether document and postings data have been read yet."""
+        return self._postings is not None
 
     def stats(self) -> IndexStats:
         return self._stats
@@ -195,119 +262,55 @@ class Index:
     def avg_doc_len(self) -> float:
         return self._stats.avg_doc_len
 
-    def _ensure_docs(self):
-        if self._docs is not None:
-            return
-        with self._load_lock:
-            if self._docs is not None:
-                return
-            self._load_docs()
-
-    def _load_docs(self):
-        file = self.path / "docs.jsonl"
-        docs: list[DocRecord] = []
-        by_docno: dict[str, DocRecord] = {}
-        try:
-            lines = file.read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise CorruptIndex(str(file), str(exc)) from exc
-        for lineno, line in enumerate(lines, start=1):
-            try:
-                obj = json.loads(line)
-                rec = DocRecord(int(obj["doc_id"]), str(obj["docno"]), int(obj["doc_len"]), str(obj["text"]))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise CorruptIndex(str(file), f"line {lineno}: {exc}") from exc
-            if rec.doc_id != len(docs):
-                raise CorruptIndex(str(file), f"line {lineno}: doc_id {rec.doc_id} is not dense")
-            if rec.docno in by_docno:
-                raise CorruptIndex(str(file), f"line {lineno}: duplicate docno {rec.docno!r}")
-            docs.append(rec)
-            by_docno[rec.docno] = rec
-        if len(docs) != self._stats.n_docs:
-            raise CorruptIndex(str(file), f"{len(docs)} documents but meta says {self._stats.n_docs}")
-        self._docs = docs
-        self._by_docno = by_docno
-
-    def _ensure_postings(self):
+    def _ensure_loaded(self) -> None:
         if self._postings is not None:
             return
-        self._ensure_docs()
         with self._load_lock:
-            if self._postings is not None:
-                return
-            self._load_postings()
+            if self._postings is None:
+                docs = _read_docs(self.path / "docs.jsonl", self._stats.n_docs)
+                table = _read_postings(self.path / "postings.jsonl", self._stats.n_docs)
+                self._docnos, self._doc_lens, self._texts = docs
+                # assigned last: the unlocked check above reads it
+                self._postings = table
 
-    def _load_postings(self):
-        file = self.path / "postings.jsonl"
-        table: dict[str, tuple[Posting, ...]] = {}
-        try:
-            lines = file.read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise CorruptIndex(str(file), str(exc)) from exc
-        for lineno, line in enumerate(lines, start=1):
-            try:
-                obj = json.loads(line)
-                term = obj["term"]
-                plist = tuple(
-                    Posting(int(doc_id), int(tf), tuple(int(p) for p in positions))
-                    for doc_id, tf, positions in obj["postings"]
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise CorruptIndex(str(file), f"line {lineno}: {exc}") from exc
-            for p in plist:
-                if p.tf != len(p.positions) or any(
-                    a >= b for a, b in zip(p.positions, p.positions[1:])
-                ):
-                    raise CorruptIndex(str(file), f"line {lineno}: bad posting for term {term!r}")
-                if not 0 <= p.doc_id < self._stats.n_docs:
-                    raise CorruptIndex(str(file), f"line {lineno}: doc_id {p.doc_id} out of range")
-            if obj["df"] != len(plist) or obj["cf"] != sum(p.tf for p in plist):
-                raise CorruptIndex(str(file), f"line {lineno}: df/cf inconsistent for term {term!r}")
-            if any(a.doc_id >= b.doc_id for a, b in zip(plist, plist[1:])):
-                raise CorruptIndex(str(file), f"line {lineno}: postings not ascending for {term!r}")
-            table[term] = plist
-        self._postings = table
-
-    def postings(self, term: str) -> tuple[Posting, ...]:
-        self._ensure_postings()
+    def postings(self, term: str) -> PostingList:
+        """The ``(doc_id, tf, positions)`` entries of *term*, ascending doc_id."""
+        self._ensure_loaded()
         return self._postings.get(term, ())
 
     def df(self, term: str) -> int:
         return len(self.postings(term))
 
     def cf(self, term: str) -> int:
-        return sum(p.tf for p in self.postings(term))
+        return sum(tf for _, tf, _ in self.postings(term))
 
     def terms(self) -> list[str]:
-        self._ensure_postings()
+        self._ensure_loaded()
         return sorted(self._postings)
 
-    def doc(self, docno: str) -> DocRecord:
-        self._ensure_docs()
-        rec = self._by_docno.get(docno)
-        if rec is None:
-            raise UnknownDocno(docno)
-        return rec
+    def docnos(self) -> tuple[str, ...]:
+        """Docnos indexed by doc_id."""
+        self._ensure_loaded()
+        return self._docnos
 
-    def doc_by_id(self, doc_id: int) -> DocRecord:
-        self._ensure_docs()
-        if not 0 <= doc_id < len(self._docs):
-            raise DataError(f"doc_id {doc_id} out of range")
-        return self._docs[doc_id]
+    def doc_lens(self) -> tuple[int, ...]:
+        """Document lengths in tokens, indexed by doc_id."""
+        self._ensure_loaded()
+        return self._doc_lens
 
     def text(self, docno: str) -> str:
-        return self.doc(docno).text
+        self._ensure_loaded()
+        try:
+            return self._texts[docno]
+        except KeyError:
+            raise UnknownDocno(docno) from None
 
     def __contains__(self, docno: str) -> bool:
-        self._ensure_docs()
-        return docno in self._by_docno
+        self._ensure_loaded()
+        return docno in self._texts
 
     def __getitem__(self, docno: str) -> str:
         return self.text(docno)
-
-    def docnos(self) -> list[str]:
-        self._ensure_docs()
-        return [d.docno for d in self._docs]
 
 
 def load_index(path) -> Index:
@@ -320,13 +323,3 @@ def count_adjacent(positions_a: tuple[int, ...], positions_b: tuple[int, ...]) -
     follow = set(positions_b)
     return sum(1 for p in positions_a if p + 1 in follow)
 
-
-def ordered_window_count(index: Index, t1: str, t2: str, doc_id: int) -> int:
-    """Occurrences of *t1* immediately followed by *t2* within one document."""
-    pa = next((p.positions for p in index.postings(t1) if p.doc_id == doc_id), ())
-    if not pa:
-        return 0
-    pb = next((p.positions for p in index.postings(t2) if p.doc_id == doc_id), ())
-    if not pb:
-        return 0
-    return count_adjacent(pa, pb)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import Leaf, Linear, PipelineNode, Then
-from .errors import NotSatisfied, Uninspectable, path_str
+from .errors import NotSatisfied, Uninspectable, cols_str, path_str
 from .transformers import Transformer
 
 # Columns every fusion child must produce for its ranking to be merged.
@@ -44,10 +44,6 @@ class IoReport:
     outputs_for: dict[frozenset[str], frozenset[str]] = field(default_factory=dict)
 
 
-def _cols(names) -> str:
-    return "{" + ", ".join(sorted(names)) + "}"
-
-
 def _node_label(node: PipelineNode) -> str:
     if isinstance(node, Leaf):
         return node.transformer.name
@@ -67,7 +63,7 @@ def _failure(path, label, required, available) -> ValidationDiagnostic:
         available=frozenset(available),
         message=(
             f"invalid pipeline at {path_str(path)}: {label} requires "
-            f"{_cols(required)} but only {_cols(available)} available"
+            f"{cols_str(required)} but only {cols_str(available)} available"
         ),
     )
 

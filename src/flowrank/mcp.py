@@ -22,6 +22,8 @@ from .frames import Relation, canonical_columns
 from .inspect import output_columns, validate
 
 PROTOCOL_VERSION = "2025-03-26"
+SERVER_NAME = "flowrank-mcp"
+SERVER_VERSION = "0.1.0"
 
 PARSE_ERROR = -32700
 INVALID_REQUEST = -32600
@@ -85,9 +87,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 8080
     pipelines: dict = field(default_factory=dict)  # name -> (PipelineNode, description)
-    protocol_version: str = PROTOCOL_VERSION
-    server_name: str = "flowrank-mcp"
-    server_version: str = "0.1.0"
 
 
 def _json_value(value):
@@ -130,7 +129,6 @@ class _Dispatcher:
     """Protocol logic, independent of the HTTP plumbing for testability."""
 
     def __init__(self, config: ServerConfig):
-        self.config = config
         self.tools: dict[str, tuple[PipelineNode, ToolDescriptor]] = {}
         for name, (node, description) in config.pipelines.items():
             if name in self.tools:
@@ -157,12 +155,9 @@ class _Dispatcher:
                 return _rpc_result(
                     id_,
                     {
-                        "protocolVersion": self.config.protocol_version,
+                        "protocolVersion": PROTOCOL_VERSION,
                         "capabilities": {"tools": {}},
-                        "serverInfo": {
-                            "name": self.config.server_name,
-                            "version": self.config.server_version,
-                        },
+                        "serverInfo": {"name": SERVER_NAME, "version": SERVER_VERSION},
                     },
                 )
             if method == "tools/list":
@@ -217,7 +212,7 @@ class _Dispatcher:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    server_version = "flowrank-mcp/0.1.0"
+    server_version = f"{SERVER_NAME}/{SERVER_VERSION}"
 
     def log_message(self, fmt, *args):  # keep test output clean
         pass
@@ -234,7 +229,14 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/mcp":
             self.send_error(404, "only POST /mcp is served")
             return
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # rfile.read(-1) would block until the client closes
+            self._send_json(_rpc_error(None, INVALID_REQUEST, "Invalid Request: bad Content-Length"))
+            return
         body = self.rfile.read(length)
         self._send_json(self.server.dispatcher.dispatch_bytes(body))
 

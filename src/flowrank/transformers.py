@@ -205,34 +205,30 @@ def _bm25_term(tf: int, df: int, dl: int, n_docs: int, avgdl: float, k1: float, 
 
 def _score_groups(index: Index, params: Bm25Params, groups) -> list[tuple[str, float]]:
     """Score every matching document; returns the top (docno, score) pairs."""
-    stats = index.stats()
-    contribs: dict[int, list[float]] = {}
+    matches: list[tuple[int, float, int, int]] = []  # (doc_id, weight, tf, df)
     for kind, weight, tokens in groups:
         if kind == "w":
             for term in tokens:
                 plist = index.postings(term)
-                df = len(plist)
-                for p in plist:
-                    dl = index.doc_by_id(p.doc_id).doc_len
-                    contribs.setdefault(p.doc_id, []).append(
-                        weight * _bm25_term(p.tf, df, dl, stats.n_docs, stats.avg_doc_len, params.k1, params.b)
-                    )
+                matches.extend((doc_id, weight, tf, len(plist)) for doc_id, tf, _ in plist)
         else:
             t1, t2 = tokens
-            second = {p.doc_id: p.positions for p in index.postings(t2)}
+            second = {doc_id: positions for doc_id, _, positions in index.postings(t2)}
             counts = {}
-            for p in index.postings(t1):
-                if p.doc_id in second:
-                    c = count_adjacent(p.positions, second[p.doc_id])
+            for doc_id, _, positions in index.postings(t1):
+                if doc_id in second:
+                    c = count_adjacent(positions, second[doc_id])
                     if c:
-                        counts[p.doc_id] = c
-            df = len(counts)
-            for doc_id, c in counts.items():
-                dl = index.doc_by_id(doc_id).doc_len
-                contribs.setdefault(doc_id, []).append(
-                    weight * _bm25_term(c, df, dl, stats.n_docs, stats.avg_doc_len, params.k1, params.b)
-                )
-    scored = [(index.doc_by_id(doc_id).docno, math.fsum(parts)) for doc_id, parts in contribs.items()]
+                        counts[doc_id] = c
+            matches.extend((doc_id, weight, c, len(counts)) for doc_id, c in counts.items())
+    n_docs, avgdl, doc_lens = index.n_docs, index.avg_doc_len, index.doc_lens()
+    contribs: dict[int, list[float]] = {}
+    for doc_id, weight, tf, df in matches:
+        contribs.setdefault(doc_id, []).append(
+            weight * _bm25_term(tf, df, doc_lens[doc_id], n_docs, avgdl, params.k1, params.b)
+        )
+    docnos = index.docnos()
+    scored = [(docnos[doc_id], math.fsum(parts)) for doc_id, parts in contribs.items()]
     scored.sort(key=lambda x: (-x[1], x[0]))
     return scored[: params.num_results]
 

@@ -1,19 +1,26 @@
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import flowrank.index
 from flowrank.errors import (
     CorruptIndex,
     DuplicateDocno,
     EmptyCorpus,
     FormatError,
+    IndexIOError,
     UnknownDocno,
     VersionMismatch,
 )
 from flowrank.index import (
     build_index,
+    count_adjacent,
     load_index,
-    ordered_window_count,
     read_corpus,
     tokenize,
 )
@@ -68,12 +75,41 @@ class TestBuildIndex:
         for name in ("meta.json", "docs.jsonl", "postings.jsonl"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_failed_build_never_opens(self, tmp_path, monkeypatch, fresh):
+        out = tmp_path / "ix"
+        if not fresh:
+            build_index(TOY5, out)
+        dumps = flowrank.index._dumps
+
+        def disk_full_at_postings(obj):
+            if "term" in obj:
+                raise OSError("no space left on device")
+            return dumps(obj)
+
+        monkeypatch.setattr(flowrank.index, "_dumps", disk_full_at_postings)
+        with pytest.raises(IndexIOError):
+            build_index(TOY5, out)
+        with pytest.raises(CorruptIndex):
+            load_index(out)
+        monkeypatch.undo()
+        build_index(TOY5, out)
+        assert sorted(f.name for f in out.iterdir()) == ["docs.jsonl", "meta.json", "postings.jsonl"]
+        assert load_index(out).text("d1") == "the quick brown fox"
+
+    def test_line_separators_in_text_round_trip(self, tmp_path):
+        # json.dumps leaves U+0085 and U+2028 unescaped in docs.jsonl
+        corpus = [("a", "one\u2028two"), ("b", "three\x85four")]
+        build_index(corpus, tmp_path / "ix")
+        ix = load_index(tmp_path / "ix")
+        assert [(docno, ix.text(docno)) for docno in ix.docnos()] == corpus
+
 
 class TestLoadIndex:
     def test_postings_fox(self, toy_index):
         plist = toy_index.postings("fox")
         assert len(plist) == 3
-        assert [toy_index.doc_by_id(p.doc_id).docno for p in plist] == ["d1", "d3", "d5"]
+        assert [toy_index.docnos()[doc_id] for doc_id, _, _ in plist] == ["d1", "d3", "d5"]
 
     def test_unseen_term_empty(self, toy_index):
         assert toy_index.postings("zzz") == ()
@@ -85,9 +121,9 @@ class TestLoadIndex:
 
     def test_doc_lookup(self, toy_index):
         assert toy_index.text("d1") == "the quick brown fox"
-        assert toy_index.doc("d3").doc_len == 3
+        assert toy_index.doc_lens()[toy_index.docnos().index("d3")] == 3
         with pytest.raises(UnknownDocno):
-            toy_index.doc("d99")
+            toy_index.text("d99")
 
     def test_lazy_until_data_access(self, toy_index_dir):
         ix = load_index(toy_index_dir)
@@ -123,6 +159,68 @@ class TestLoadIndex:
         with pytest.raises(CorruptIndex):
             ix.text("d1")
 
+    @pytest.mark.parametrize(
+        "name, old, new",
+        [
+            ("meta.json", b'"n_docs"', b'"n_\xffdocs"'),
+            ("meta.json", b'"n_docs":5', b'"n_docs":1e999'),
+            ("docs.jsonl", b"quick", b"qu\xffck"),
+            ("postings.jsonl", b'"barks"', b'"b\xc3rks"'),
+            ("postings.jsonl", b'"df"', b'"xf"'),
+            ("postings.jsonl", b'"cf"', b'"xf"'),
+        ],
+    )
+    def test_malformed_file_is_corrupt(self, tmp_path, name, old, new):
+        out = tmp_path / "ix"
+        build_index(TOY5, out)
+        data = (out / name).read_bytes()
+        (out / name).write_bytes(data.replace(old, new, 1))
+        with pytest.raises(CorruptIndex) as err:
+            load_index(out).postings("fox")
+        assert name in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def fuzz_source(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz") / "ix"
+    build_index(TOY5 + [("d6", "naïve café — “quoted” fox")], out)
+    return out
+
+
+def _touch_everything(ix):
+    for docno in ix.docnos():
+        assert docno in ix
+        ix.text(docno)
+    assert len(ix.doc_lens()) == ix.n_docs
+    for term in ix.terms():
+        ix.postings(term)
+        ix.df(term)
+        ix.cf(term)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    name=st.sampled_from(["meta.json", "docs.jsonl", "postings.jsonl"]),
+    where=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    flip=st.one_of(st.none(), st.integers(min_value=1, max_value=255)),
+)
+def test_damaged_file_loads_or_is_corrupt(fuzz_source, name, where, flip):
+    """Truncate a file (flip is None) or XOR one of its bytes with flip."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "ix"
+        shutil.copytree(fuzz_source, out)
+        data = bytearray((out / name).read_bytes())
+        at = int(where * len(data))
+        if flip is None:
+            del data[at:]
+        else:
+            data[at] ^= flip
+        (out / name).write_bytes(bytes(data))
+        try:
+            _touch_everything(load_index(out))
+        except (CorruptIndex, VersionMismatch):
+            pass
+
 
 class TestLexiconInvariants:
     def test_df_cf_bounds_and_totals(self, toy_index):
@@ -136,33 +234,40 @@ class TestLexiconInvariants:
 
     def test_posting_positions_match_tf(self, toy_index):
         for term in toy_index.terms():
-            for p in toy_index.postings(term):
-                assert p.tf == len(p.positions)
-                assert list(p.positions) == sorted(set(p.positions))
+            for _, tf, positions in toy_index.postings(term):
+                assert tf == len(positions)
+                assert list(positions) == sorted(set(positions))
+
+
+def positions_in(index, term, docno):
+    """Positions of *term* in the document *docno*, () if absent."""
+    doc_id = index.docnos().index(docno)
+    return next((pos for d, _, pos in index.postings(term) if d == doc_id), ())
 
 
 class TestOrderedWindow:
     def test_adjacent_pair(self, toy_index):
-        d1 = toy_index.doc("d1").doc_id
-        assert ordered_window_count(toy_index, "quick", "brown", d1) == 1
+        quick, brown = (positions_in(toy_index, t, "d1") for t in ("quick", "brown"))
+        assert count_adjacent(quick, brown) == 1
 
     def test_repeated_term_pair(self, toy_index):
-        d3 = toy_index.doc("d3").doc_id
-        assert ordered_window_count(toy_index, "quick", "quick", d3) == 1
+        quick = positions_in(toy_index, "quick", "d3")
+        assert count_adjacent(quick, quick) == 1
 
     def test_absent_term_is_zero(self, toy_index):
         for docno in ("d1", "d2", "d3", "d4", "d5"):
-            doc_id = toy_index.doc(docno).doc_id
-            assert ordered_window_count(toy_index, "quick", "zzz", doc_id) == 0
+            quick, zzz = (positions_in(toy_index, t, docno) for t in ("quick", "zzz"))
+            assert count_adjacent(quick, zzz) == 0
 
     def test_bounded_by_min_tf(self, toy_index):
         terms = toy_index.terms()
         for t1 in terms:
             for t2 in terms:
-                for doc_id in range(toy_index.n_docs):
-                    count = ordered_window_count(toy_index, t1, t2, doc_id)
-                    tf1 = next((p.tf for p in toy_index.postings(t1) if p.doc_id == doc_id), 0)
-                    tf2 = next((p.tf for p in toy_index.postings(t2) if p.doc_id == doc_id), 0)
+                for doc_id, docno in enumerate(toy_index.docnos()):
+                    pa, pb = (positions_in(toy_index, t, docno) for t in (t1, t2))
+                    count = count_adjacent(pa, pb)
+                    tf1 = next((tf for d, tf, _ in toy_index.postings(t1) if d == doc_id), 0)
+                    tf2 = next((tf for d, tf, _ in toy_index.postings(t2) if d == doc_id), 0)
                     assert count <= min(tf1, tf2)
 
 

@@ -137,6 +137,19 @@ class TestProtocol:
         assert result["isError"] is True
         assert "zero tokens" in result["content"][0]["text"]
 
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_invalid_request(self, server, length):
+        with socket.create_connection((server.host, server.port), timeout=10) as sock:
+            sock.sendall(f"POST /mcp HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n".encode())
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b" ")[1] == b"200"
+        resp = json.loads(body)
+        assert resp["error"]["code"] == -32600
+        assert resp["id"] is None
+
     def test_answer_pipeline_over_http(self, server):
         resp = rpc(
             server.url,

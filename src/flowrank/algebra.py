@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import FlowrankError, InvalidK, ValidationError, WeightLengthMismatch
-from .frames import Relation, rank_rows, sort_and_rank
+from .frames import Relation, rank_tuples, ranked, sort_and_rank
 from .transformers import Transformer
 
 DEFAULT_RRF_K = 60.0
@@ -133,20 +133,28 @@ def _run(node: PipelineNode, rel: Relation, path: tuple[int, ...]) -> Relation:
         outputs = [_run(child, rel, path + (i,)) for i, child in enumerate(node.children)]
         contributions = []
         for weight, out in zip(node.weights, outputs):
-            contributions.append(
-                {(row["qid"], row["docno"]): weight * row["score"] for row in out.to_dicts()}
-            )
+            q, d, s = _positions(out, "qid", "docno", "score")
+            contributions.append({(row[q], row[d]): weight * row[s] for row in out.rows})
         return _fuse(outputs, contributions)
     if isinstance(node, RRF):
         outputs = [_run(child, rel, path + (i,)) for i, child in enumerate(node.children)]
         contributions = []
         for out in outputs:
-            ranked = sort_and_rank(out)
+            if out.kind.base != "R":
+                # an R frame already guarantees unique, non-null (qid, docno)
+                # keys; check any other child output as one
+                out = sort_and_rank(out)
+            # re-ranked, not read: a custom child may order tied scores otherwise
+            q, s, d = _positions(out, "qid", "score", "docno")
             contributions.append(
-                {(row["qid"], row["docno"]): 1.0 / (node.k + row["rank"] + 1) for row in ranked.to_dicts()}
+                {(row[q], row[d]): 1.0 / (node.k + rank + 1) for row, rank in ranked(out.rows, q, s, d)}
             )
         return _fuse(outputs, contributions)
     raise TypeError(f"unknown pipeline node: {node!r}")
+
+
+def _positions(rel: Relation, *names: str) -> tuple[int, ...]:
+    return tuple(rel.schema.index_of(name) for name in names)
 
 
 def _fuse(outputs: list[Relation], contributions: list[dict]) -> Relation:
@@ -162,16 +170,14 @@ def _fuse(outputs: list[Relation], contributions: list[dict]) -> Relation:
     for contrib in contributions:
         for key, value in contrib.items():
             parts.setdefault(key, []).append(value)
+    if not keep_query:
+        rows = [(qid, docno, math.fsum(values)) for (qid, docno), values in parts.items()]
+        return Relation._trusted(*rank_tuples(("qid", "docno", "score"), rows))
     query_for: dict[str, str] = {}
-    if keep_query:
-        for out in outputs:
-            for row in out.to_dicts():
-                query_for.setdefault(row["qid"], row["query"])
-    rows = []
-    for (qid, docno), values in parts.items():
-        row = {"qid": qid, "docno": docno, "score": math.fsum(values)}
-        if keep_query:
-            row["query"] = query_for[qid]
-        rows.append(row)
-    columns = ["qid", "query", "docno", "score", "rank"] if keep_query else ["qid", "docno", "score", "rank"]
-    return Relation.from_dicts(rank_rows(rows), columns)
+    for out in outputs:
+        q, t = _positions(out, "qid", "query")
+        for row in out.rows:
+            if row[q] not in query_for:
+                query_for[row[q]] = row[t]
+    rows = [(qid, query_for[qid], docno, math.fsum(values)) for (qid, docno), values in parts.items()]
+    return Relation._trusted(*rank_tuples(("qid", "query", "docno", "score"), rows))

@@ -5,13 +5,20 @@ column-name set classifies it as a query (Q), document (D), result (R), or
 answer (A) frame, possibly extended with extra columns.  Construction
 enforces the frame invariants (primary keys, dense 0-based ranks ordered by
 non-increasing score), so any relation the framework hands out is valid.
+
+Public construction also checks the type of every cell.  The engine's own
+stages build their outputs from cells of already-checked relations plus
+values they compute, through :meth:`Relation._trusted`, which skips only
+that per-cell type pass.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError, FormatError, MissingColumn, UnknownDocno
 
@@ -176,11 +183,7 @@ class Relation:
     def __post_init__(self):
         names = self.schema.names
         kind = classify_frame(names)
-        required = frozenset()
-        for base, req in FRAME_REQUIREMENTS:
-            if base == kind.base:
-                required = req
-                break
+        required = _required(kind)
         normalized = []
         for r, row in enumerate(self.rows):
             row = tuple(row)
@@ -196,6 +199,26 @@ class Relation:
             )
         object.__setattr__(self, "rows", tuple(normalized))
         self._check_keys(kind)
+
+    @classmethod
+    def _trusted(cls, columns: Sequence[str], rows: Iterable[tuple]) -> "Relation":
+        """Engine-only constructor over row tuples whose cells are known to type-check.
+
+        Cells copied from checked relations keep their column's type, and
+        the engine computes only well-typed values, so the per-cell type pass
+        is skipped.  A stage may still change the frame kind and so gain
+        required columns and a primary key: nulls in required columns, keys
+        and ranks are checked as in public construction.
+        """
+        rel = object.__new__(cls)
+        object.__setattr__(rel, "schema", schema_for(columns))
+        object.__setattr__(rel, "rows", tuple(rows))
+        kind = classify_frame(columns)
+        for name in _required(kind):
+            if None in map(operator.itemgetter(rel.schema.index_of(name)), rel.rows):
+                raise DataError(f"column {name!r} is required by its frame kind and may not be null")
+        rel._check_keys(kind)
+        return rel
 
     def _check_keys(self, kind: FrameKind):
         # primary keys bind the exact frame kinds; extensions such as a
@@ -216,10 +239,10 @@ class Relation:
             groups.setdefault(qid, []).append((rank, score))
         for qid, pairs in groups.items():
             pairs.sort()
-            if [r for r, _ in pairs] != list(range(len(pairs))):
+            if list(map(operator.itemgetter(0), pairs)) != list(range(len(pairs))):
                 raise DataError(f"ranks for qid {qid!r} are not exactly 0..{len(pairs) - 1}")
-            scores = [s for _, s in pairs]
-            if any(a < b for a, b in zip(scores, scores[1:])):
+            scores = list(map(operator.itemgetter(1), pairs))
+            if any(map(operator.lt, scores, scores[1:])):
                 raise DataError(f"scores for qid {qid!r} increase with rank")
 
     @property
@@ -234,8 +257,7 @@ class Relation:
         return len(self.rows)
 
     def column(self, name: str) -> tuple:
-        i = self.schema.index_of(name)
-        return tuple(row[i] for row in self.rows)
+        return tuple(map(operator.itemgetter(self.schema.index_of(name)), self.rows))
 
     def to_dicts(self) -> list[dict]:
         names = self.schema.names
@@ -252,7 +274,17 @@ class Relation:
         return Relation(schema, tuple(tuple(row.get(c) for c in columns) for row in rows))
 
 
-def _unique(values, label: str):
+def _required(kind: FrameKind) -> frozenset[str]:
+    """Columns a frame of *kind* may not hold nulls in."""
+    for base, required in FRAME_REQUIREMENTS:
+        if base == kind.base:
+            return required
+    return frozenset()
+
+
+def _unique(values: Sequence, label: str):
+    if len(set(values)) == len(values):
+        return
     seen = set()
     for v in values:
         if v in seen:
@@ -260,21 +292,32 @@ def _unique(values, label: str):
         seen.add(v)
 
 
-def rank_rows(rows: Iterable[Mapping]) -> list[dict]:
-    """Order row dicts by (qid asc, score desc, docno asc) and write ``rank``.
+def ranked(rows: Sequence, qid, score, docno) -> Iterator[tuple[object, int]]:
+    """``(row, rank)`` pairs ordered by (qid asc, score desc, docno asc).
 
     This is the single ranking rule used everywhere a result frame is
-    produced; ties in score break by ascending docno for determinism.
+    produced; ties in score break by ascending docno for determinism, and
+    ranks count from 0 within each qid.  *qid*, *score* and *docno* index
+    into each row: positions for tuples, names for dicts.
     """
-    ordered = sorted(rows, key=lambda r: (r["qid"], -r["score"], r["docno"]))
-    counts: dict[str, int] = {}
-    out = []
-    for row in ordered:
-        row = dict(row)
-        row["rank"] = counts.get(row["qid"], 0)
-        counts[row["qid"]] = row["rank"] + 1
-        out.append(row)
-    return out
+    ordered = sorted(rows, key=lambda r: (r[qid], -r[score], r[docno]))
+    for _, group in itertools.groupby(ordered, key=operator.itemgetter(qid)):
+        for rank, row in enumerate(group):
+            yield row, rank
+
+
+def rank_tuples(columns: Sequence[str], rows: Sequence[tuple]) -> tuple[list[str], list[tuple]]:
+    """Rank row tuples over *columns*, writing ``rank`` in place or appending it."""
+    columns = list(columns)
+    if "rank" not in columns:
+        columns.append("rank")
+    q, s, d, r = (columns.index(c) for c in ("qid", "score", "docno", "rank"))
+    return columns, [row[:r] + (rank,) + row[r + 1 :] for row, rank in ranked(rows, q, s, d)]
+
+
+def rank_rows(rows: Iterable[Mapping]) -> list[dict]:
+    """Order row dicts by (qid asc, score desc, docno asc) and write ``rank``."""
+    return [{**row, "rank": rank} for row, rank in ranked(list(rows), "qid", "score", "docno")]
 
 
 def sort_and_rank(rel: Relation) -> Relation:
@@ -283,17 +326,16 @@ def sort_and_rank(rel: Relation) -> Relation:
     needed = {"qid", "docno", "score"}
     if not needed <= present:
         raise MissingColumn(needed - present, needed, present, who="sort_and_rank")
-    columns = list(rel.columns)
-    if "rank" not in columns:
-        columns.append("rank")
-    return Relation.from_dicts(rank_rows(rel.to_dicts()), columns)
+    columns, rows = rank_tuples(rel.columns, rel.rows)
+    return Relation(schema_for(columns), tuple(rows))
 
 
 def join_on_docno(left: Relation, docs) -> Relation:
     """Append a ``text`` column to *left* by docno lookup, preserving row order.
 
     *docs* is any mapping-like store supporting ``in`` and ``[]`` from docno
-    to document text.  An absent docno raises :class:`UnknownDocno`.  An
+    to document text.  An absent docno raises :class:`UnknownDocno`, and a
+    looked-up value that is not text raises :class:`DataError`.  An
     existing ``text`` column is overwritten in place.
     """
     present = set(left.columns)
@@ -302,14 +344,19 @@ def join_on_docno(left: Relation, docs) -> Relation:
     columns = list(left.columns)
     if "text" not in columns:
         columns.append("text")
+    pad = (None,) * (len(columns) - len(left.columns))
+    d, x = columns.index("docno"), columns.index("text")
     rows = []
-    for row in left.to_dicts():
-        docno = row["docno"]
+    for row in left.rows:
+        docno = row[d]
         if docno not in docs:
             raise UnknownDocno(docno)
-        row["text"] = docs[docno]
-        rows.append(row)
-    return Relation.from_dicts(rows, columns)
+        text = docs[docno]
+        if text is not None and not isinstance(text, str):
+            raise DataError(f"column 'text' expects text, got {type(text).__name__}")
+        row += pad
+        rows.append(row[:x] + (text,) + row[x + 1 :])
+    return Relation._trusted(columns, rows)
 
 
 def read_topics(path) -> Relation:
@@ -337,8 +384,5 @@ def format_trec_run(rel: Relation, tag: str = "flowrank") -> str:
     needed = {"qid", "docno", "score", "rank"}
     if not needed <= present:
         raise MissingColumn(needed - present, needed, present, who="format_trec_run")
-    lines = [
-        f"{row['qid']} Q0 {row['docno']} {row['rank']} {row['score']:.6f} {tag}"
-        for row in rel.to_dicts()
-    ]
-    return "".join(line + "\n" for line in lines)
+    q, d, r, s = (rel.schema.index_of(c) for c in ("qid", "docno", "rank", "score"))
+    return "".join(f"{row[q]} Q0 {row[d]} {row[r]} {row[s]:.6f} {tag}\n" for row in rel.rows)

@@ -214,7 +214,8 @@ class Index:
     """Read-only handle over an index directory; safe for concurrent readers.
 
     ``meta.json`` is read and checked on open.  The first data access reads
-    and checks ``docs.jsonl`` and ``postings.jsonl`` together, in one load
+    and checks ``docs.jsonl`` and ``postings.jsonl`` together, and the stats
+    in ``meta.json`` against the documents, in one load
     under one lock (see :attr:`data_loaded`), and keeps them as plain data:
     documents as columns indexed by doc_id (:meth:`docnos`,
     :meth:`doc_lens`) plus a docno-to-text map, and postings as tuples of
@@ -268,10 +269,24 @@ class Index:
         with self._load_lock:
             if self._postings is None:
                 docs = _read_docs(self.path / "docs.jsonl", self._stats.n_docs)
+                self._check_stats(docs[1])
                 table = _read_postings(self.path / "postings.jsonl", self._stats.n_docs)
                 self._docnos, self._doc_lens, self._texts = docs
                 # assigned last: the unlocked check above reads it
                 self._postings = table
+
+    def _check_stats(self, doc_lens: tuple[int, ...]) -> None:
+        # exact: the build derives both fields from the same lengths, and
+        # JSON round-trips the float
+        stats, total = self._stats, sum(doc_lens)
+        if stats.total_tokens != total:
+            raise CorruptIndex(
+                str(self.path / "meta.json"), f"total_tokens {stats.total_tokens} but documents hold {total}"
+            )
+        if not doc_lens or stats.avg_doc_len != total / len(doc_lens):
+            raise CorruptIndex(
+                str(self.path / "meta.json"), f"avg_doc_len {stats.avg_doc_len} disagrees with the documents"
+            )
 
     def postings(self, term: str) -> PostingList:
         """The ``(doc_id, tf, positions)`` entries of *term*, ascending doc_id."""

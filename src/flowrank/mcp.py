@@ -5,7 +5,10 @@ The server speaks a minimal Model Context Protocol subset on ``POST /mcp``:
 input JSON Schema and advertised output columns) is derived from static
 inspection, so a listed tool is guaranteed executable from a query batch.
 Per-request failures are JSON-RPC responses, never dropped connections;
-pipeline execution errors come back as ``isError: true`` tool results.
+pipeline execution errors come back as ``isError: true`` tool results.  A
+notification (a request without an ``id``, such as
+``notifications/initialized``) gets HTTP 202, an empty body and no
+JSON-RPC response.
 """
 
 from __future__ import annotations
@@ -99,7 +102,8 @@ def _json_value(value):
 
 def relation_to_json_rows(rel: Relation) -> list[dict]:
     """Rows as flat JSON objects with canonical float formatting (6 decimals)."""
-    return [{k: _json_value(v) for k, v in row.items()} for row in rel.to_dicts()]
+    names = rel.columns
+    return [{k: _json_value(v) for k, v in zip(names, row)} for row in rel.rows]
 
 
 def relation_to_text(rel: Relation) -> str:
@@ -135,19 +139,24 @@ class _Dispatcher:
                 raise ValueError(f"duplicate tool name {name!r}")
             self.tools[name] = (node, tool_descriptor(name, node, description))
 
-    def dispatch_bytes(self, body: bytes) -> dict:
+    def dispatch_bytes(self, body: bytes) -> dict | None:
         try:
             request = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             return _rpc_error(None, PARSE_ERROR, "Parse error")
         return self.dispatch(request)
 
-    def dispatch(self, request) -> dict:
+    def dispatch(self, request) -> dict | None:
+        """The response to *request*, or None for a notification."""
         if not isinstance(request, dict):
             return _rpc_error(None, INVALID_REQUEST, "Invalid Request")
         id_ = request.get("id")
         if request.get("jsonrpc") != "2.0" or not isinstance(request.get("method"), str):
             return _rpc_error(id_, INVALID_REQUEST, "Invalid Request")
+        if "id" not in request:
+            # JSON-RPC 2.0 section 4.1: a notification gets no response; none
+            # of the served methods has an effect worth running without one
+            return None
         method = request["method"]
         params = request.get("params") or {}
         try:
@@ -238,7 +247,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(_rpc_error(None, INVALID_REQUEST, "Invalid Request: bad Content-Length"))
             return
         body = self.rfile.read(length)
-        self._send_json(self.server.dispatcher.dispatch_bytes(body))
+        response = self.server.dispatcher.dispatch_bytes(body)
+        if response is None:
+            self.send_response(202)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
+        self._send_json(response)
 
     def do_GET(self):
         self.send_error(404, "only POST /mcp is served")

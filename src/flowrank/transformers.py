@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import EmptyQuery, MalformedWeightedQuery, MissingColumn
-from .frames import Relation, join_on_docno, rank_rows
+from .frames import Relation, join_on_docno, rank_tuples
 from .index import Index, count_adjacent, tokenize
 
 
@@ -204,51 +204,66 @@ def _bm25_term(tf: int, df: int, dl: int, n_docs: int, avgdl: float, k1: float, 
 
 
 def _score_groups(index: Index, params: Bm25Params, groups) -> list[tuple[str, float]]:
-    """Score every matching document; returns the top (docno, score) pairs."""
-    matches: list[tuple[int, float, int, int]] = []  # (doc_id, weight, tf, df)
+    """Score every matching document; returns the top (docno, score) pairs.
+
+    Term at a time: the idf of each term or window and the length norm of
+    each distinct document length are computed once, with the float
+    operations of :func:`_bm25_term` in the same order, so scores agree
+    with it bit for bit.
+    """
+    plists = []  # (weight, postings) per term or window
     for kind, weight, tokens in groups:
         if kind == "w":
-            for term in tokens:
-                plist = index.postings(term)
-                matches.extend((doc_id, weight, tf, len(plist)) for doc_id, tf, _ in plist)
+            plists.extend((weight, index.postings(term)) for term in tokens)
         else:
+            # window matches, shaped as postings with no positions
             t1, t2 = tokens
             second = {doc_id: positions for doc_id, _, positions in index.postings(t2)}
-            counts = {}
+            window = []
             for doc_id, _, positions in index.postings(t1):
                 if doc_id in second:
                     c = count_adjacent(positions, second[doc_id])
                     if c:
-                        counts[doc_id] = c
-            matches.extend((doc_id, weight, c, len(counts)) for doc_id, c in counts.items())
+                        window.append((doc_id, c, None))
+            plists.append((weight, window))
     n_docs, avgdl, doc_lens = index.n_docs, index.avg_doc_len, index.doc_lens()
+    k1, b = params.k1, params.b
+    norms: dict[int, float] = {}  # doc length -> k1 * (1.0 - b + b * dl / avgdl)
     contribs: dict[int, list[float]] = {}
-    for doc_id, weight, tf, df in matches:
-        contribs.setdefault(doc_id, []).append(
-            weight * _bm25_term(tf, df, doc_lens[doc_id], n_docs, avgdl, params.k1, params.b)
-        )
+    for weight, plist in plists:
+        df = len(plist)
+        idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+        for doc_id, tf, _ in plist:
+            dl = doc_lens[doc_id]
+            norm = norms.get(dl)
+            if norm is None:
+                norm = norms[dl] = k1 * (1.0 - b + b * dl / avgdl)
+            part = weight * (idf * tf * (k1 + 1.0) / (tf + norm))
+            if doc_id in contribs:
+                contribs[doc_id].append(part)
+            else:
+                contribs[doc_id] = [part]
     docnos = index.docnos()
-    scored = [(docnos[doc_id], math.fsum(parts)) for doc_id, parts in contribs.items()]
-    scored.sort(key=lambda x: (-x[1], x[0]))
-    return scored[: params.num_results]
+    top = sorted((-math.fsum(parts), docnos[doc_id]) for doc_id, parts in contribs.items())
+    return [(docno, -neg) for neg, docno in top[: params.num_results]]
 
 
 def _retrieval_fn(index: Index, params: Bm25Params, weighted: bool):
     def fn(rel: Relation) -> Relation:
         # retrievers re-derive state: one retrieval per distinct qid, taking
         # the first query seen for it, regardless of how many rows carry it
+        q, t = rel.schema.index_of("qid"), rel.schema.index_of("query")
         queries: dict[str, str] = {}
-        for row in rel.to_dicts():
-            queries.setdefault(row["qid"], row["query"])
+        for row in rel.rows:
+            queries.setdefault(row[q], row[t])
         rows = []
         for qid, query in queries.items():
             if weighted and is_weighted_query(query):
                 groups = parse_weighted_query(query)
             else:
                 groups = [("w", 1.0, tokenize(query))]
-            for docno, score in _score_groups(index, params, groups):
-                rows.append({"qid": qid, "query": query, "docno": docno, "score": score})
-        return Relation.from_dicts(rank_rows(rows), ["qid", "query", "docno", "score", "rank"])
+            rows.extend((qid, query, docno, score) for docno, score in _score_groups(index, params, groups))
+        return Relation._trusted(*rank_tuples(_RETRIEVER_OUT[:4], rows))
 
     return fn
 
@@ -285,16 +300,16 @@ def sdm_rewriter(params: SdmParams = SdmParams()) -> Transformer:
     """
 
     def fn(rel: Relation) -> Relation:
+        q, t = rel.schema.index_of("qid"), rel.schema.index_of("query")
         rows = []
-        for row in rel.to_dicts():
-            tokens = tokenize(row["query"])
+        for row in rel.rows:
+            tokens = tokenize(row[t])
             if not tokens:
-                raise EmptyQuery(row["qid"])
-            out = dict(row)
+                raise EmptyQuery(row[q])
             if len(tokens) > 1:
-                out["query"] = format_weighted_query(tokens, params)
-            rows.append(out)
-        return Relation.from_dicts(rows, list(rel.columns))
+                row = row[:t] + (format_weighted_query(tokens, params),) + row[t + 1 :]
+            rows.append(row)
+        return Relation._trusted(rel.columns, rows)
 
     return Transformer(
         name="sdm",
@@ -326,34 +341,35 @@ def lexical_rescorer(params: Bm25Params = Bm25Params()) -> Transformer:
 
     def fn(rel: Relation) -> Relation:
         columns = list(rel.columns)
-        for extra in ("score", "rank"):
-            if extra not in columns:
-                columns.append(extra)
-        groups: dict[str, list[dict]] = {}
-        for row in rel.to_dicts():
-            groups.setdefault(row["qid"], []).append(row)
+        columns += [extra for extra in ("score", "rank") if extra not in columns]
+        pad = (None,) * (len(columns) - len(rel.columns))
+        q, t, x, s = (columns.index(c) for c in ("qid", "query", "text", "score"))
+        groups: dict[str, list[tuple]] = {}
+        for row in rel.rows:
+            groups.setdefault(row[q], []).append(row)
         rows = []
-        for qid in groups:
-            cands = groups[qid]
-            doc_tokens = [tokenize(c["text"]) for c in cands]
+        for cands in groups.values():
+            doc_tokens = [tokenize(c[x]) for c in cands]
             n = len(cands)
-            avgdl = sum(len(t) for t in doc_tokens) / n if n else 0.0
-            df: dict[str, int] = {}
-            for toks in doc_tokens:
-                for term in set(toks):
-                    df[term] = df.get(term, 0) + 1
+            avgdl = sum(map(len, doc_tokens)) / n
+            df: dict[str, int] = {}  # filled only for query terms that match
+            query_tokens: dict[str, list[str]] = {}
             for cand, toks in zip(cands, doc_tokens):
+                query = cand[t]
+                if query not in query_tokens:
+                    query_tokens[query] = tokenize(query)
                 contribs = []
-                for term in tokenize(cand["query"]):
+                for term in query_tokens[query]:
                     tf = toks.count(term)
                     if tf:
+                        if term not in df:
+                            df[term] = sum(term in other for other in doc_tokens)
                         contribs.append(
                             _bm25_term(tf, df[term], len(toks), n, avgdl, params.k1, params.b)
                         )
-                out = dict(cand)
-                out["score"] = math.fsum(contribs)
-                rows.append(out)
-        return Relation.from_dicts(rank_rows(rows), columns)
+                row = cand + pad
+                rows.append(row[:s] + (math.fsum(contribs),) + row[s + 1 :])
+        return Relation._trusted(*rank_tuples(columns, rows))
 
     return Transformer(
         name="rescore",
@@ -378,12 +394,12 @@ def extractive_answerer(max_passages: int = 3) -> Transformer:
     """Answer each query with the first sentence of its top-ranked document."""
 
     def fn(rel: Relation) -> Relation:
+        q, r, x = (rel.schema.index_of(c) for c in ("qid", "rank", "text"))
         best: dict[str, str] = {}
-        for row in rel.to_dicts():
-            if row["rank"] == 0:
-                best[row["qid"]] = first_sentence(row["text"])
-        rows = [{"qid": qid, "qanswer": best[qid]} for qid in sorted(best)]
-        return Relation.from_dicts(rows, ["qid", "qanswer"])
+        for row in rel.rows:
+            if row[r] == 0:
+                best[row[q]] = first_sentence(row[x])
+        return Relation._trusted(("qid", "qanswer"), [(qid, best[qid]) for qid in sorted(best)])
 
     return Transformer(
         name="answer",

@@ -102,6 +102,15 @@ class TestRRF:
         assert [r["docno"] for r in out.to_dicts()] == ["d1", "d2", "d3"]
         assert out.to_dicts()[0]["score"] == pytest.approx(2 / 61, abs=1e-15)
 
+    def test_child_rank_recomputed_with_docno_tie_break(self):
+        # the child ranks its tied scores d2 before d1; fusion re-ranks it by docno
+        rows = [{**row, "rank": i} for i, row in enumerate(q1_run(("d2", 1.0), ("d1", 1.0)))]
+        tied = Leaf(stub_run("tied", rows, with_rank=True))
+        assert tied.transformer.fn(EMPTY_INPUT).column("docno") == ("d2", "d1")
+        out = execute(rr_fusion([tied, run_of("b", q1_run(("d3", 5.0)))]), EMPTY_INPUT)
+        got = [(r["docno"], r["score"]) for r in out.to_dicts()]
+        assert got == [("d1", 1 / 61), ("d3", 1 / 61), ("d2", 1 / 62)]
+
     def test_rank_only_dependence(self):
         a_rows = q1_run(("d1", 5.0), ("d2", 3.0))
         b_rows = q1_run(("d2", 0.4), ("d3", 0.2))

@@ -185,6 +185,16 @@ class TestJoinOnDocno:
         out = join_on_docno(left, {"d1": "a", "d2": "b"})
         assert out.column("docno") == ("d2", "d1")
 
+    def test_non_text_lookup_rejected(self):
+        left = rel([{"qid": "q1", "docno": "a"}], ["qid", "docno"])
+        with pytest.raises(DataError):
+            join_on_docno(left, {"a": 5})
+
+    def test_null_key_of_gained_frame_kind_rejected(self):
+        # docno may be null in {docno} but not in the document frame it becomes
+        with pytest.raises(DataError):
+            join_on_docno(rel([{"docno": None}], ["docno"]), {None: "x"})
+
 
 class TestExternalFormats:
     def test_read_topics(self, tmp_path):

@@ -179,6 +179,18 @@ class TestLoadIndex:
             load_index(out).postings("fox")
         assert name in str(err.value)
 
+    @pytest.mark.parametrize("field, value", [("avg_doc_len", 0), ("avg_doc_len", 3.4), ("total_tokens", 18)])
+    def test_meta_stats_disagreeing_with_docs_are_corrupt(self, tmp_path, field, value):
+        out = tmp_path / "ix"
+        build_index(TOY5, out)  # 19 tokens over 5 documents
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta[field] != value
+        meta[field] = value
+        (out / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(CorruptIndex) as err:
+            load_index(out).postings("fox")
+        assert "meta.json" in str(err.value)
+
 
 @pytest.fixture(scope="module")
 def fuzz_source(tmp_path_factory):

@@ -150,6 +150,22 @@ class TestProtocol:
         assert resp["error"]["code"] == -32600
         assert resp["id"] is None
 
+    def test_notification_gets_202_and_no_response(self, server):
+        body = json.dumps({"jsonrpc": "2.0", "method": "notifications/initialized"}).encode()
+        with socket.create_connection((server.host, server.port), timeout=10) as sock:
+            sock.sendall(
+                f"POST /mcp HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}\r\n\r\n".encode() + body
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, rest = reply.partition(b"\r\n\r\n")
+        assert head.split(b" ")[1] == b"202"
+        assert rest == b""
+        # an invalid request and one with an id still get their replies
+        assert rpc(server.url, {"method": "notifications/initialized"})["error"]["code"] == -32600
+        assert rpc(server.url, {"jsonrpc": "2.0", "id": None, "method": "initialize"})["id"] is None
+
     def test_answer_pipeline_over_http(self, server):
         resp = rpc(
             server.url,

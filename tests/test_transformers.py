@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from flowrank.errors import EmptyQuery, MalformedWeightedQuery, MissingColumn, UnknownDocno
+from flowrank.errors import DataError, EmptyQuery, MalformedWeightedQuery, MissingColumn, UnknownDocno
 from flowrank.frames import Relation
 from flowrank.transformers import (
     Bm25Params,
@@ -152,6 +152,11 @@ class TestTextLoader:
         with pytest.raises(UnknownDocno):
             text_loader(toy_index).transform(rel([{"docno": "d99"}], ["docno"]))
 
+    def test_repeated_docno_violates_document_key(self, toy_index):
+        # {docno} repeats freely, but the output {docno, text} is an exact D frame
+        with pytest.raises(DataError):
+            text_loader(toy_index).transform(rel([{"docno": "d1"}, {"docno": "d1"}], ["docno"]))
+
 
 class TestSdmRewriter:
     def test_two_token_rewrite(self):
@@ -271,6 +276,11 @@ class TestLexicalRescorer:
         out = lexical_rescorer().transform(rel(rows, ["qid", "query", "docno", "text", "tag"]))
         assert sorted((r["qid"], r["docno"]) for r in out.to_dicts()) == [("q1", "d1"), ("q1", "d2")]
         assert set(out.columns) == {"qid", "query", "docno", "text", "tag", "score", "rank"}
+
+    def test_repeated_candidate_violates_result_key(self):
+        rows = [{"qid": "q1", "query": "fox", "docno": "d1", "text": "fox"}] * 2
+        with pytest.raises(DataError):
+            lexical_rescorer().transform(self.candidates(rows))
 
 
 class TestExtractiveAnswerer:

@@ -2,11 +2,14 @@
 
 The on-disk layout is three UTF-8 files in an index directory:
 
-* ``meta.json``      -- ``{"format_version":1,"n_docs":N,"total_tokens":T,"avg_doc_len":A}``
+* ``meta.json``      -- ``{"format_version":2,"n_docs":N,"total_tokens":T,"avg_doc_len":A}``
 * ``docs.jsonl``     -- one object per line, ascending doc_id:
   ``{"doc_id":i,"docno":"...","doc_len":L,"text":"..."}``
-* ``postings.jsonl`` -- one object per line, terms in lexicographic order:
-  ``{"term":"...","df":d,"cf":c,"postings":[[doc_id,tf,[pos,...]],...]}``
+* ``postings.jsonl`` -- one object per line, terms in lexicographic order,
+  postings as three columns:
+  ``{"term":"...","df":d,"cf":c,"doc_ids":[...],"tfs":[...],"positions":[...]}``
+  with ``doc_ids`` ascending and every document's positions back to back,
+  ``tfs[i]`` of them for ``doc_ids[i]``
 
 Building is deterministic: the same corpus yields byte-identical files.
 Loading is lazy beyond ``meta.json`` so that purely static uses of an index
@@ -20,6 +23,8 @@ import os
 import re
 import threading
 from dataclasses import dataclass
+from itertools import accumulate, chain, compress, count
+from operator import ge, lt
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -33,7 +38,7 @@ from .errors import (
     VersionMismatch,
 )
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _TOKEN = re.compile(r"[^\W_]+")
 
@@ -43,8 +48,19 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
-# (doc_id, tf, positions) entries of one term, ascending doc_id
+# one term's postings as columns: ascending doc_ids, the tf of each, and
+# every document's positions back to back, tfs[i] of them for doc_ids[i]
+Columns = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+# the same postings as (doc_id, tf, positions) rows
 PostingList = tuple[tuple[int, int, tuple[int, ...]], ...]
+
+_NO_POSTINGS: Columns = ((), (), ())
+
+
+def doc_slices(tfs: Iterable[int]) -> Iterator[slice]:
+    """The slice of a term's positions column holding each document's positions."""
+    ends = list(accumulate(tfs))
+    return map(slice, chain((0,), ends), ends)
 
 
 @dataclass(frozen=True)
@@ -84,7 +100,7 @@ def build_index(corpus: Iterable[tuple[str, str]], out_dir) -> IndexStats:
     out_dir = Path(out_dir)
     docs: list[tuple[str, int, str]] = []  # (docno, doc_len, text), position is doc_id
     seen: set[str] = set()
-    postings: dict[str, list[tuple[int, tuple[int, ...]]]] = {}
+    postings: dict[str, tuple[list[int], list[int], list[int]]] = {}  # term -> columns
     total_tokens = 0
     for docno, text in corpus:
         if docno in seen:
@@ -98,7 +114,12 @@ def build_index(corpus: Iterable[tuple[str, str]], out_dir) -> IndexStats:
         for pos, term in enumerate(tokens):
             by_term.setdefault(term, []).append(pos)
         for term, positions in by_term.items():
-            postings.setdefault(term, []).append((doc_id, tuple(positions)))
+            columns = postings.get(term)
+            if columns is None:
+                columns = postings[term] = ([], [], [])
+            columns[0].append(doc_id)
+            columns[1].append(len(positions))
+            columns[2].extend(positions)
     if not docs:
         raise EmptyCorpus()
     stats = IndexStats(len(docs), total_tokens / len(docs), total_tokens)
@@ -113,14 +134,16 @@ def build_index(corpus: Iterable[tuple[str, str]], out_dir) -> IndexStats:
                 )
         with open(out_dir / "postings.jsonl", "w", encoding="utf-8") as fh:
             for term in sorted(postings):
-                plist = postings[term]
+                doc_ids, tfs, positions = postings[term]
                 fh.write(
                     _dumps(
                         {
                             "term": term,
-                            "df": len(plist),
-                            "cf": sum(len(p) for _, p in plist),
-                            "postings": [[doc_id, len(p), list(p)] for doc_id, p in plist],
+                            "df": len(doc_ids),
+                            "cf": len(positions),
+                            "doc_ids": doc_ids,
+                            "tfs": tfs,
+                            "positions": positions,
                         }
                     )
                     + "\n"
@@ -184,29 +207,42 @@ def _read_docs(file: Path, n_docs: int) -> tuple[tuple[str, ...], tuple[int, ...
     return tuple(docnos), tuple(doc_lens), texts
 
 
-def _read_postings(file: Path, n_docs: int) -> dict[str, PostingList]:
-    """Term -> ``(doc_id, tf, positions)`` tuples; checked against *n_docs*."""
+def _columns_fault(df, cf, doc_ids, tfs, positions, n_docs: int) -> str | None:
+    """What is wrong with one term's postings columns, or None if nothing is.
+
+    Each check is a C-level pass over a column, so a load makes no object
+    per posting.
+    """
+    if not type(doc_ids) is type(tfs) is type(positions) is list:
+        return "postings columns must be arrays"
+    if set(map(type, chain((df, cf), doc_ids, tfs, positions))) - {int}:
+        return "postings values must be integers"
+    if not (df == len(doc_ids) == len(tfs) and cf == len(positions) == sum(tfs)):
+        return "df/cf inconsistent"
+    if tfs and min(tfs) < 1:
+        return "tf below 1"
+    if doc_ids and not (0 <= doc_ids[0] and doc_ids[-1] < n_docs and all(map(lt, doc_ids, doc_ids[1:]))):
+        return f"doc_ids out of range [0, {n_docs}) or not ascending"
+    # positions may fall or repeat only where a new document starts
+    if not set(compress(count(1), map(ge, positions, positions[1:]))).issubset(accumulate(tfs)):
+        return "positions not ascending within a document"
+    return None
+
+
+def _read_postings(file: Path, n_docs: int) -> dict[str, Columns]:
+    """Term -> ``(doc_ids, tfs, positions)`` columns; checked against *n_docs*."""
     table = {}
     for lineno, line in enumerate(_read_lines(file), start=1):
         try:
             obj = json.loads(line)
             term, df, cf = str(obj["term"]), obj["df"], obj["cf"]
-            plist = tuple(
-                (int(doc_id), int(tf), tuple(int(p) for p in positions))
-                for doc_id, tf, positions in obj["postings"]
-            )
+            doc_ids, tfs, positions = obj["doc_ids"], obj["tfs"], obj["positions"]
         except _BAD_VALUE as exc:
             raise CorruptIndex(str(file), f"line {lineno}: {exc}") from exc
-        prev = -1
-        for doc_id, tf, positions in plist:
-            if tf != len(positions) or any(a >= b for a, b in zip(positions, positions[1:])):
-                raise CorruptIndex(str(file), f"line {lineno}: bad posting for term {term!r}")
-            if not prev < doc_id < n_docs:  # prev starts at -1: in range and ascending
-                raise CorruptIndex(str(file), f"line {lineno}: doc_id {doc_id} out of range or order")
-            prev = doc_id
-        if df != len(plist) or cf != sum(tf for _, tf, _ in plist):
-            raise CorruptIndex(str(file), f"line {lineno}: df/cf inconsistent for term {term!r}")
-        table[term] = plist
+        fault = _columns_fault(df, cf, doc_ids, tfs, positions, n_docs)
+        if fault is not None:
+            raise CorruptIndex(str(file), f"line {lineno}: {fault} for term {term!r}")
+        table[term] = (tuple(doc_ids), tuple(tfs), tuple(positions))
     return table
 
 
@@ -218,8 +254,8 @@ class Index:
     in ``meta.json`` against the documents, in one load
     under one lock (see :attr:`data_loaded`), and keeps them as plain data:
     documents as columns indexed by doc_id (:meth:`docnos`,
-    :meth:`doc_lens`) plus a docno-to-text map, and postings as tuples of
-    ``(doc_id, tf, positions)``.
+    :meth:`doc_lens`) plus a docno-to-text map, and each term's postings as
+    the columns ``(doc_ids, tfs, positions)`` (:meth:`columns`).
     """
 
     def __init__(self, path):
@@ -244,7 +280,7 @@ class Index:
         self._docnos: tuple[str, ...] = ()
         self._doc_lens: tuple[int, ...] = ()
         self._texts: dict[str, str] = {}
-        self._postings: dict[str, PostingList] | None = None
+        self._postings: dict[str, Columns] | None = None
         self._load_lock = threading.Lock()
 
     @property
@@ -288,16 +324,29 @@ class Index:
                 str(self.path / "meta.json"), f"avg_doc_len {stats.avg_doc_len} disagrees with the documents"
             )
 
-    def postings(self, term: str) -> PostingList:
-        """The ``(doc_id, tf, positions)`` entries of *term*, ascending doc_id."""
+    def columns(self, term: str) -> Columns:
+        """The postings of *term* as ``(doc_ids, tfs, positions)`` columns.
+
+        ``doc_ids`` ascend; ``positions`` holds every document's positions
+        back to back, ``tfs[i]`` of them for ``doc_ids[i]`` (see
+        :func:`doc_slices`).  An unseen term has three empty columns.
+        """
         self._ensure_loaded()
-        return self._postings.get(term, ())
+        return self._postings.get(term, _NO_POSTINGS)
+
+    def postings(self, term: str) -> PostingList:
+        """The ``(doc_id, tf, positions)`` rows of *term*, ascending doc_id.
+
+        Built from :meth:`columns` on each call.
+        """
+        doc_ids, tfs, positions = self.columns(term)
+        return tuple(zip(doc_ids, tfs, map(positions.__getitem__, doc_slices(tfs))))
 
     def df(self, term: str) -> int:
-        return len(self.postings(term))
+        return len(self.columns(term)[0])
 
     def cf(self, term: str) -> int:
-        return sum(tf for _, tf, _ in self.postings(term))
+        return len(self.columns(term)[2])
 
     def terms(self) -> list[str]:
         self._ensure_loaded()
@@ -331,6 +380,27 @@ class Index:
 def load_index(path) -> Index:
     """Open a read-only handle on an index directory."""
     return Index(path)
+
+
+def adjacent_counts(first: Columns, second: Columns) -> tuple[list[int], list[int]]:
+    """Doc ids where the *second* term directly follows the *first*, and how often.
+
+    Takes two terms' :meth:`Index.columns`; positions are sliced only for
+    documents that hold both terms.
+    """
+    ids1, tfs1, pos1 = first
+    ids2, tfs2, pos2 = second
+    where2 = dict(zip(ids2, count()))  # doc_id -> its index in the second columns
+    ends2 = list(accumulate(tfs2))
+    doc_ids, counts = [], []
+    for doc_id, tf, end in zip(ids1, tfs1, accumulate(tfs1)):
+        j = where2.get(doc_id)
+        if j is not None:
+            c = count_adjacent(pos1[end - tf : end], pos2[ends2[j] - tfs2[j] : ends2[j]])
+            if c:
+                doc_ids.append(doc_id)
+                counts.append(c)
+    return doc_ids, counts
 
 
 def count_adjacent(positions_a: tuple[int, ...], positions_b: tuple[int, ...]) -> int:

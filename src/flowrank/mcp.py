@@ -6,6 +6,7 @@ input JSON Schema and advertised output columns) is derived from static
 inspection, so a listed tool is guaranteed executable from a query batch.
 Per-request failures are JSON-RPC responses, never dropped connections;
 pipeline execution errors come back as ``isError: true`` tool results.  A
+body longer than ``MAX_BODY_BYTES`` is refused unread.  A
 notification (a request without an ``id``, such as
 ``notifications/initialized``) gets HTTP 202, an empty body and no
 JSON-RPC response.
@@ -33,6 +34,9 @@ INVALID_REQUEST = -32600
 METHOD_NOT_FOUND = -32601
 INVALID_PARAMS = -32602
 INTERNAL_ERROR = -32603
+
+# a larger Content-Length is refused before any of the body is read
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 _SERVABLE_INPUT = frozenset({"qid", "query"})
 
@@ -245,6 +249,11 @@ class _Handler(BaseHTTPRequestHandler):
         if length < 0:
             # rfile.read(-1) would block until the client closes
             self._send_json(_rpc_error(None, INVALID_REQUEST, "Invalid Request: bad Content-Length"))
+            return
+        if length > MAX_BODY_BYTES:
+            self._send_json(
+                _rpc_error(None, INVALID_REQUEST, f"Invalid Request: body exceeds {MAX_BODY_BYTES} bytes")
+            )
             return
         body = self.rfile.read(length)
         response = self.server.dispatcher.dispatch_bytes(body)

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable
 
-from .errors import EmptyQuery, MalformedWeightedQuery, MissingColumn
+from .errors import DataError, EmptyQuery, MalformedWeightedQuery, MissingColumn
 from .frames import Relation, join_on_docno, rank_tuples
-from .index import Index, count_adjacent, tokenize
+from .index import Index, adjacent_counts, tokenize
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,17 @@ class Transformer:
         return f"Transformer({self.name!r})"
 
 
+def _require_values(rel: Relation, who: str, *names: str) -> None:
+    """Raise DataError if a column that stage *who* reads holds a null.
+
+    Frame kinds allow nulls in non-key columns such as ``query`` and
+    ``text``, so validation passes them; the stage that reads one cannot.
+    """
+    for name in names:
+        if None in map(itemgetter(rel.schema.index_of(name)), rel.rows):
+            raise DataError(f"{who}: column {name!r} holds a null")
+
+
 @dataclass(frozen=True)
 class Bm25Params:
     k1: float = 1.2
@@ -167,6 +179,8 @@ def parse_weighted_query(query: str) -> list[tuple[str, float, list[str]]]:
             weight = float(query[j:close])
         except ValueError:
             raise MalformedWeightedQuery(j, f"bad weight {query[j:close]!r}") from None
+        if not math.isfinite(weight):
+            raise MalformedWeightedQuery(j, f"weight {query[j:close]!r} is not finite")
         i = close + 1
         tokens: list[str] = []
         while i < n:
@@ -211,29 +225,21 @@ def _score_groups(index: Index, params: Bm25Params, groups) -> list[tuple[str, f
     operations of :func:`_bm25_term` in the same order, so scores agree
     with it bit for bit.
     """
-    plists = []  # (weight, postings) per term or window
+    plists = []  # (weight, doc_ids, tfs) per term or window
     for kind, weight, tokens in groups:
         if kind == "w":
-            plists.extend((weight, index.postings(term)) for term in tokens)
+            plists.extend((weight, *index.columns(term)[:2]) for term in tokens)
         else:
-            # window matches, shaped as postings with no positions
             t1, t2 = tokens
-            second = {doc_id: positions for doc_id, _, positions in index.postings(t2)}
-            window = []
-            for doc_id, _, positions in index.postings(t1):
-                if doc_id in second:
-                    c = count_adjacent(positions, second[doc_id])
-                    if c:
-                        window.append((doc_id, c, None))
-            plists.append((weight, window))
+            plists.append((weight, *adjacent_counts(index.columns(t1), index.columns(t2))))
     n_docs, avgdl, doc_lens = index.n_docs, index.avg_doc_len, index.doc_lens()
     k1, b = params.k1, params.b
     norms: dict[int, float] = {}  # doc length -> k1 * (1.0 - b + b * dl / avgdl)
     contribs: dict[int, list[float]] = {}
-    for weight, plist in plists:
-        df = len(plist)
+    for weight, doc_ids, tfs in plists:
+        df = len(doc_ids)
         idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-        for doc_id, tf, _ in plist:
+        for doc_id, tf in zip(doc_ids, tfs):
             dl = doc_lens[doc_id]
             norm = norms.get(dl)
             if norm is None:
@@ -250,6 +256,7 @@ def _score_groups(index: Index, params: Bm25Params, groups) -> list[tuple[str, f
 
 def _retrieval_fn(index: Index, params: Bm25Params, weighted: bool):
     def fn(rel: Relation) -> Relation:
+        _require_values(rel, "wbm25" if weighted else "bm25", "query")
         # retrievers re-derive state: one retrieval per distinct qid, taking
         # the first query seen for it, regardless of how many rows carry it
         q, t = rel.schema.index_of("qid"), rel.schema.index_of("query")
@@ -300,6 +307,7 @@ def sdm_rewriter(params: SdmParams = SdmParams()) -> Transformer:
     """
 
     def fn(rel: Relation) -> Relation:
+        _require_values(rel, "sdm", "query")
         q, t = rel.schema.index_of("qid"), rel.schema.index_of("query")
         rows = []
         for row in rel.rows:
@@ -340,6 +348,7 @@ def lexical_rescorer(params: Bm25Params = Bm25Params()) -> Transformer:
     """
 
     def fn(rel: Relation) -> Relation:
+        _require_values(rel, "rescore", "query", "text")
         columns = list(rel.columns)
         columns += [extra for extra in ("score", "rank") if extra not in columns]
         pad = (None,) * (len(columns) - len(rel.columns))
@@ -394,6 +403,7 @@ def extractive_answerer(max_passages: int = 3) -> Transformer:
     """Answer each query with the first sentence of its top-ranked document."""
 
     def fn(rel: Relation) -> Relation:
+        _require_values(rel, "answer", "text")
         q, r, x = (rel.schema.index_of(c) for c in ("qid", "rank", "text"))
         best: dict[str, str] = {}
         for row in rel.rows:

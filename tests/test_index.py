@@ -18,6 +18,7 @@ from flowrank.errors import (
     VersionMismatch,
 )
 from flowrank.index import (
+    adjacent_counts,
     build_index,
     count_adjacent,
     load_index,
@@ -179,6 +180,62 @@ class TestLoadIndex:
             load_index(out).postings("fox")
         assert name in str(err.value)
 
+    def test_postings_line_is_columnar(self, tmp_path):
+        out = tmp_path / "ix"
+        build_index(TOY5, out)  # quick: once in d1 (doc_id 0), twice in d3 (doc_id 2)
+        lines = (out / "postings.jsonl").read_text(encoding="utf-8").splitlines()
+        assert '{"term":"quick","df":2,"cf":3,"doc_ids":[0,2],"tfs":[1,2],"positions":[1,0,1]}' in lines
+        ix = load_index(out)
+        assert ix.columns("quick") == ((0, 2), (1, 2), (1, 0, 1))
+        assert ix.postings("quick") == ((0, 1, (1,)), (2, 2, (0, 1)))
+        assert ix.columns("zzz") == ((), (), ())
+
+    # quick: doc_ids [0, 2], tfs [1, 2], positions [1, 0, 1]; barks: [3], [1], [2]
+    @pytest.mark.parametrize(
+        "term, fields",
+        [
+            ("quick", {"doc_ids": [0, 2.0]}),
+            ("quick", {"doc_ids": [0, "2"]}),
+            ("quick", {"doc_ids": [True, 2]}),
+            ("quick", {"tfs": [1, 2.0]}),
+            ("quick", {"tfs": ["1", 2]}),
+            ("quick", {"tfs": [True, 2]}),
+            ("quick", {"positions": [1, 0, 1.0]}),
+            ("quick", {"positions": [1, "0", 1]}),
+            ("quick", {"positions": [True, 0, 1]}),
+            ("quick", {"positions": [1, 1, 0]}),  # falls inside d3
+            ("quick", {"positions": [1, 0, 0]}),  # repeats inside d3
+            ("quick", {"tfs": [1, 1]}),  # sums to 2, cf is 3
+            ("barks", {"cf": 0, "tfs": [0], "positions": []}),
+            ("quick", {"doc_ids": [2, 2]}),
+            ("quick", {"doc_ids": [0, 5]}),  # n_docs is 5
+            ("quick", {"doc_ids": [-1, 2]}),
+            ("quick", {"doc_ids": {}, "df": 0}),
+        ],
+    )
+    def test_bad_postings_columns_are_corrupt(self, tmp_path, term, fields):
+        out = tmp_path / "ix"
+        build_index(TOY5, out)
+        file = out / "postings.jsonl"
+        lines = []
+        for line in file.read_text(encoding="utf-8").splitlines():
+            obj = json.loads(line)
+            lines.append(json.dumps({**obj, **fields}) if obj["term"] == term else line)
+        file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorruptIndex) as err:
+            load_index(out).postings("fox")
+        assert "postings.jsonl" in str(err.value)
+
+    def test_format_version_1_is_a_version_mismatch(self, tmp_path):
+        out = tmp_path / "ix"
+        out.mkdir()
+        (out / "meta.json").write_text('{"format_version":1,"n_docs":1,"total_tokens":1,"avg_doc_len":1.0}\n')
+        (out / "docs.jsonl").write_text('{"doc_id":0,"docno":"d1","doc_len":1,"text":"fox"}\n')
+        (out / "postings.jsonl").write_text('{"term":"fox","df":1,"cf":1,"postings":[[0,1,[0]]]}\n')
+        with pytest.raises(VersionMismatch) as err:
+            load_index(out)
+        assert "1" in str(err.value) and "2" in str(err.value)
+
     @pytest.mark.parametrize("field, value", [("avg_doc_len", 0), ("avg_doc_len", 3.4), ("total_tokens", 18)])
     def test_meta_stats_disagreeing_with_docs_are_corrupt(self, tmp_path, field, value):
         out = tmp_path / "ix"
@@ -270,6 +327,17 @@ class TestOrderedWindow:
         for docno in ("d1", "d2", "d3", "d4", "d5"):
             quick, zzz = (positions_in(toy_index, t, docno) for t in ("quick", "zzz"))
             assert count_adjacent(quick, zzz) == 0
+
+    def test_adjacent_counts_match_row_view(self, toy_index):
+        terms = toy_index.terms()
+        for t1 in terms:
+            for t2 in terms:
+                second = {d: pos for d, _, pos in toy_index.postings(t2)}
+                expected = [
+                    (d, count_adjacent(pos, second[d])) for d, _, pos in toy_index.postings(t1) if d in second
+                ]
+                ids, counts = adjacent_counts(toy_index.columns(t1), toy_index.columns(t2))
+                assert list(zip(ids, counts)) == [(d, c) for d, c in expected if c]
 
     def test_bounded_by_min_tf(self, toy_index):
         terms = toy_index.terms()

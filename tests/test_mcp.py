@@ -150,6 +150,29 @@ class TestProtocol:
         assert resp["error"]["code"] == -32600
         assert resp["id"] is None
 
+    def test_oversized_body_refused_unread(self, server):
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(b"POST /mcp HTTP/1.1\r\nHost: x\r\nContent-Length: 1073741824\r\n\r\n")
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b" ")[1] == b"200"
+        resp = json.loads(body)
+        assert resp["error"]["code"] == -32600
+        assert resp["id"] is None
+
+    def test_non_finite_weight_is_tool_error(self, toy_registry):
+        config = ServerConfig(port=0, pipelines={"w": (elaborate(parse("wbm25"), toy_registry), "d")})
+        with serve(config) as handle:
+            resp = rpc(
+                handle.url,
+                {"jsonrpc": "2.0", "id": 9, "method": "tools/call",
+                 "params": {"name": "w", "arguments": {"queries": [{"qid": "q1", "query": "#w(nan) fox"}]}}},
+            )
+        assert resp["result"]["isError"] is True
+        assert "not finite" in resp["result"]["content"][0]["text"]
+
     def test_notification_gets_202_and_no_response(self, server):
         body = json.dumps({"jsonrpc": "2.0", "method": "notifications/initialized"}).encode()
         with socket.create_connection((server.host, server.port), timeout=10) as sock:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from flowrank.algebra import Leaf, execute, rr_fusion, then
 from flowrank.errors import DataError, EmptyQuery, MalformedWeightedQuery, MissingColumn, UnknownDocno
 from flowrank.frames import Relation
 from flowrank.transformers import (
@@ -198,6 +199,16 @@ class TestWeightedQueryGrammar:
         with pytest.raises(MalformedWeightedQuery):
             parse_weighted_query("#w(0.5) Fox!")
 
+    @pytest.mark.parametrize(
+        "query", ["#w(nan) quick fox", "#w(inf) quick", "#w(0.9) quick #ow(-inf) quick fox", "#ow(NaN) quick fox"]
+    )
+    def test_non_finite_weight_rejected_at_its_leaf(self, toy_index, query):
+        node = rr_fusion([Leaf(bm25_retriever(toy_index)), Leaf(weighted_bm25_retriever(toy_index))])
+        with pytest.raises(MalformedWeightedQuery) as err:
+            execute(node, qframe(("q1", query)))
+        assert "not finite" in str(err.value)
+        assert err.value.path == (1,)
+
 
 class TestWeightedBm25:
     def test_plain_query_identical_to_bm25(self, toy_index):
@@ -316,6 +327,39 @@ class TestExtractiveAnswerer:
         out = extractive_answerer().transform(self.ranked(rows))
         assert out.kind.abbr == "A"
         assert out.to_dicts() == [{"qid": "q1", "qanswer": "one"}, {"qid": "q2", "qanswer": "three"}]
+
+
+_RANKED_TEXT = ["qid", "query", "docno", "score", "rank", "text"]
+
+
+class TestNullsInReadColumns:
+    """A null in a nullable column that a stage reads is a DataError with a path."""
+
+    @pytest.mark.parametrize(
+        "stage, column, columns",
+        [
+            ("bm25", "query", _RANKED_TEXT[:5]),
+            ("wbm25", "query", _RANKED_TEXT[:5]),
+            ("sdm", "query", _RANKED_TEXT[:5]),
+            ("rescore", "query", _RANKED_TEXT),
+            ("rescore", "text", ["qid", "query", "docno", "text"]),
+            ("answer", "text", _RANKED_TEXT),
+        ],
+    )
+    def test_null_is_data_error(self, toy_registry, stage, column, columns):
+        row = {"qid": "q1", "query": "quick fox", "docno": "d1", "score": 1.0, "rank": 0, "text": "fox."}
+        bad = rel([{**row, column: None}], columns)
+        with pytest.raises(DataError) as err:
+            execute(Leaf(toy_registry[stage]()), bad)
+        assert f"{stage}: column {column!r} holds a null" in str(err.value)
+        assert err.value.path == ()
+
+    def test_path_of_the_reading_stage(self, toy_index):
+        node = then(Leaf(text_loader(toy_index)), Leaf(lexical_rescorer()))
+        bad = rel([{"qid": "q1", "query": None, "docno": "d1", "score": 1.0, "rank": 0}], _RANKED_TEXT[:5])
+        with pytest.raises(DataError) as err:
+            execute(node, bad)
+        assert err.value.path == (1,)
 
 
 class TestSpecBehaviorAgreement:

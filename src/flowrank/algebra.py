@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import FlowrankError, InvalidK, ValidationError, WeightLengthMismatch
+from .errors import DataError, FlowrankError, InvalidK, ValidationError, WeightLengthMismatch
 from .frames import Relation, rank_tuples, ranked, sort_and_rank
 from .transformers import Transformer
 
@@ -119,37 +119,38 @@ def execute(node: PipelineNode, rel: Relation) -> Relation:
 
 
 def _run(node: PipelineNode, rel: Relation, path: tuple[int, ...]) -> Relation:
-    if isinstance(node, Leaf):
-        try:
+    try:
+        if isinstance(node, Leaf):
             return node.transformer.transform(rel)
-        except FlowrankError as exc:
-            exc.attach_path(path)
-            raise
-    if isinstance(node, Then):
-        for i, child in enumerate(node.children):
-            rel = _run(child, rel, path + (i,))
-        return rel
-    if isinstance(node, Linear):
-        outputs = [_run(child, rel, path + (i,)) for i, child in enumerate(node.children)]
-        contributions = []
-        for weight, out in zip(node.weights, outputs):
-            q, d, s = _positions(out, "qid", "docno", "score")
-            contributions.append({(row[q], row[d]): weight * row[s] for row in out.rows})
-        return _fuse(outputs, contributions)
-    if isinstance(node, RRF):
-        outputs = [_run(child, rel, path + (i,)) for i, child in enumerate(node.children)]
-        contributions = []
-        for out in outputs:
-            if out.kind.base != "R":
-                # an R frame already guarantees unique, non-null (qid, docno)
-                # keys; check any other child output as one
-                out = sort_and_rank(out)
-            # re-ranked, not read: a custom child may order tied scores otherwise
-            q, s, d = _positions(out, "qid", "score", "docno")
-            contributions.append(
-                {(row[q], row[d]): 1.0 / (node.k + rank + 1) for row, rank in ranked(out.rows, q, s, d)}
-            )
-        return _fuse(outputs, contributions)
+        if isinstance(node, Then):
+            for i, child in enumerate(node.children):
+                rel = _run(child, rel, path + (i,))
+            return rel
+        if isinstance(node, Linear):
+            outputs = [_run(child, rel, path + (i,)) for i, child in enumerate(node.children)]
+            contributions = []
+            for weight, out in zip(node.weights, outputs):
+                q, d, s = _positions(out, "qid", "docno", "score")
+                contributions.append({(row[q], row[d]): weight * row[s] for row in out.rows})
+            return _fuse(outputs, contributions)
+        if isinstance(node, RRF):
+            outputs = [_run(child, rel, path + (i,)) for i, child in enumerate(node.children)]
+            contributions = []
+            for out in outputs:
+                if out.kind.base != "R":
+                    # an R frame already guarantees unique, non-null (qid, docno)
+                    # keys; check any other child output as one
+                    out = sort_and_rank(out)
+                # re-ranked, not read: a custom child may order tied scores otherwise
+                q, s, d = _positions(out, "qid", "score", "docno")
+                contributions.append(
+                    {(row[q], row[d]): 1.0 / (node.k + rank + 1) for row, rank in ranked(out.rows, q, s, d)}
+                )
+            return _fuse(outputs, contributions)
+    except FlowrankError as exc:
+        # the deepest node attaches first: a child's error keeps its own path
+        exc.attach_path(path)
+        raise
     raise TypeError(f"unknown pipeline node: {node!r}")
 
 
@@ -163,15 +164,20 @@ def _fuse(outputs: list[Relation], contributions: list[dict]) -> Relation:
     A document missing from a child contributes zero.  The ``query`` column
     survives only when every child produced it; the first child retrieving a
     qid supplies its query value.  Scores are summed with ``math.fsum`` so
-    the result is independent of child order.
+    the result is independent of child order; a sum that overflows, or
+    that adds ``inf`` to ``-inf``, raises :class:`DataError`.
     """
     keep_query = all("query" in out.columns for out in outputs)
     parts: dict[tuple[str, str], list[float]] = {}
     for contrib in contributions:
         for key, value in contrib.items():
             parts.setdefault(key, []).append(value)
+    try:
+        totals = list(map(math.fsum, parts.values()))
+    except (OverflowError, ValueError) as exc:
+        raise DataError(f"scores do not sum to a finite number ({exc})") from None
     if not keep_query:
-        rows = [(qid, docno, math.fsum(values)) for (qid, docno), values in parts.items()]
+        rows = [(qid, docno, total) for (qid, docno), total in zip(parts, totals)]
         return Relation._trusted(*rank_tuples(("qid", "docno", "score"), rows))
     query_for: dict[str, str] = {}
     for out in outputs:
@@ -179,5 +185,5 @@ def _fuse(outputs: list[Relation], contributions: list[dict]) -> Relation:
         for row in out.rows:
             if row[q] not in query_for:
                 query_for[row[q]] = row[t]
-    rows = [(qid, query_for[qid], docno, math.fsum(values)) for (qid, docno), values in parts.items()]
+    rows = [(qid, query_for[qid], docno, total) for (qid, docno), total in zip(parts, totals)]
     return Relation._trusted(*rank_tuples(("qid", "query", "docno", "score"), rows))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -234,8 +235,12 @@ class Relation:
             self._check_ranks()
 
     def _check_ranks(self):
+        scores = self.column("score")
+        if None in scores or any(map(math.isnan, scores)):
+            qid, score = next((q, s) for q, s in zip(self.column("qid"), scores) if s is None or s != s)
+            raise DataError(f"score {score} for qid {qid!r} cannot be ranked")
         groups: dict[str, list[tuple[int, float]]] = {}
-        for qid, score, rank in zip(self.column("qid"), self.column("score"), self.column("rank")):
+        for qid, score, rank in zip(self.column("qid"), scores, self.column("rank")):
             groups.setdefault(qid, []).append((rank, score))
         for qid, pairs in groups.items():
             pairs.sort()

@@ -41,11 +41,22 @@ from .errors import (
 FORMAT_VERSION = 2
 
 _TOKEN = re.compile(r"[^\W_]+")
+# every ASCII character that ``[^\W_]`` does not match (``str.isalnum`` is
+# false) maps to a space; no alphanumeric character is whitespace
+_ASCII_SEPARATORS = {c: " " for c in range(128) if not chr(c).isalnum()}
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on any non-alphanumeric character, dropping empties."""
-    return _TOKEN.findall(text.lower())
+    """Lowercase and split on any non-alphanumeric character, dropping empties.
+
+    ASCII text (after lowering, which can map a non-ASCII letter such as
+    the Kelvin sign to ASCII) is split by one table translation, with the
+    same result as the regex, which handles all other text.
+    """
+    text = text.lower()
+    if text.isascii():
+        return text.translate(_ASCII_SEPARATORS).split()
+    return _TOKEN.findall(text)
 
 
 # one term's postings as columns: ascending doc_ids, the tf of each, and

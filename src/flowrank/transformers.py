@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import chain, compress
+from operator import itemgetter, methodcaller, neg
 from typing import Callable
 
 from .errors import DataError, EmptyQuery, MalformedWeightedQuery, MissingColumn
@@ -208,22 +209,25 @@ def parse_weighted_query(query: str) -> list[tuple[str, float, list[str]]]:
 
 
 # --------------------------------------------------------------------------
-# BM25 scoring engine, shared by the plain and weighted retrievers.
+# BM25 scoring engine, shared by the plain and weighted retrievers.  Both
+# it and the re-scorer compute a term's part of a document's score as
+#   idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
+#   with idf = log(1.0 + (n_docs - df + 0.5) / (df + 0.5)),
+# in this order of float operations, so their scores are reproducible bit
+# for bit.
 # --------------------------------------------------------------------------
-
-
-def _bm25_term(tf: int, df: int, dl: int, n_docs: int, avgdl: float, k1: float, b: float) -> float:
-    idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-    return idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
 
 
 def _score_groups(index: Index, params: Bm25Params, groups) -> list[tuple[str, float]]:
     """Score every matching document; returns the top (docno, score) pairs.
 
-    Term at a time: the idf of each term or window and the length norm of
-    each distinct document length are computed once, with the float
-    operations of :func:`_bm25_term` in the same order, so scores agree
-    with it bit for bit.
+    Term at a time, one list comprehension per term or window: its idf, and
+    the length norm of each distinct document length, are computed once per
+    call.  A document matched by one term or window keeps its weighted part
+    as a bare float; only documents matched more than once get a list of
+    parts, summed by ``fsum`` in query order.  The cut for the top
+    ``num_results`` is the k-th largest of the bare scores; only documents
+    at or above it, ties included, are sorted as (score, docno) pairs.
     """
     plists = []  # (weight, doc_ids, tfs) per term or window
     for kind, weight, tokens in groups:
@@ -234,24 +238,37 @@ def _score_groups(index: Index, params: Bm25Params, groups) -> list[tuple[str, f
             plists.append((weight, *adjacent_counts(index.columns(t1), index.columns(t2))))
     n_docs, avgdl, doc_lens = index.n_docs, index.avg_doc_len, index.doc_lens()
     k1, b = params.k1, params.b
-    norms: dict[int, float] = {}  # doc length -> k1 * (1.0 - b + b * dl / avgdl)
-    contribs: dict[int, list[float]] = {}
+    # avgdl is 0 only when no document has a token, and then nothing matches
+    norms = {dl: k1 * (1.0 - b + b * dl / avgdl) for dl in set(doc_lens)} if avgdl else {}
+    # a document's one part, or the last of its parts while shared holds them all
+    scores: dict[int, float] = {}
+    shared: dict[int, list[float]] = {}  # documents matched more than once
     for weight, doc_ids, tfs in plists:
         df = len(doc_ids)
         idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-        for doc_id, tf in zip(doc_ids, tfs):
-            dl = doc_lens[doc_id]
-            norm = norms.get(dl)
-            if norm is None:
-                norm = norms[dl] = k1 * (1.0 - b + b * dl / avgdl)
-            part = weight * (idf * tf * (k1 + 1.0) / (tf + norm))
-            if doc_id in contribs:
-                contribs[doc_id].append(part)
+        parts = dict(
+            zip(doc_ids, [weight * (idf * tf * (k1 + 1.0) / (tf + norms[doc_lens[d]])) for d, tf in zip(doc_ids, tfs)])
+        )
+        for d in parts.keys() & scores.keys():
+            if d in shared:
+                shared[d].append(parts[d])
             else:
-                contribs[doc_id] = [part]
+                shared[d] = [scores[d], parts[d]]
+        scores.update(parts)
+    try:
+        scores.update(zip(shared, map(math.fsum, shared.values())))
+    except (OverflowError, ValueError) as exc:
+        raise DataError(f"scores do not sum to a finite number ({exc})") from None
+    doc_ids, values = scores.keys(), scores.values()
+    k = params.num_results
+    if len(scores) > k:
+        # every score at or above the k-th largest, so that ties at the cut all survive
+        keep = list(map(sorted(values)[-k].__le__, values))
+        doc_ids, values = compress(doc_ids, keep), compress(values, keep)
     docnos = index.docnos()
-    top = sorted((-math.fsum(parts), docnos[doc_id]) for doc_id, parts in contribs.items())
-    return [(docno, -neg) for neg, docno in top[: params.num_results]]
+    top = sorted(zip(map(neg, values), map(docnos.__getitem__, doc_ids)))
+    # fsum([x]) is x, except that -0.0 becomes 0.0: so does 0.0 - -x
+    return [(docno, 0.0 - s) for s, docno in top[:k]]
 
 
 def _retrieval_fn(index: Index, params: Bm25Params, weighted: bool):
@@ -344,7 +361,8 @@ def lexical_rescorer(params: Bm25Params = Bm25Params()) -> Transformer:
 
     Statistics (document frequencies, average length, collection size) come
     from the candidate set of each qid alone, so no index handle is needed:
-    the transformer sees exactly what a neural re-ranker would see.
+    the transformer sees exactly what a neural re-ranker would see.  Each
+    qid keeps its ``num_results`` best-ranked candidates.
     """
 
     def fn(rel: Relation) -> Relation:
@@ -353,6 +371,7 @@ def lexical_rescorer(params: Bm25Params = Bm25Params()) -> Transformer:
         columns += [extra for extra in ("score", "rank") if extra not in columns]
         pad = (None,) * (len(columns) - len(rel.columns))
         q, t, x, s = (columns.index(c) for c in ("qid", "query", "text", "score"))
+        k1, b = params.k1, params.b
         groups: dict[str, list[tuple]] = {}
         for row in rel.rows:
             groups.setdefault(row[q], []).append(row)
@@ -360,25 +379,35 @@ def lexical_rescorer(params: Bm25Params = Bm25Params()) -> Transformer:
         for cands in groups.values():
             doc_tokens = [tokenize(c[x]) for c in cands]
             n = len(cands)
-            avgdl = sum(map(len, doc_tokens)) / n
-            df: dict[str, int] = {}  # filled only for query terms that match
+            lens = list(map(len, doc_tokens))
+            avgdl = sum(lens) / n
             query_tokens: dict[str, list[str]] = {}
-            for cand, toks in zip(cands, doc_tokens):
-                query = cand[t]
+            for query in map(itemgetter(t), cands):
                 if query not in query_tokens:
                     query_tokens[query] = tokenize(query)
-                contribs = []
-                for term in query_tokens[query]:
-                    tf = toks.count(term)
-                    if tf:
-                        if term not in df:
-                            df[term] = sum(term in other for other in doc_tokens)
-                        contribs.append(
-                            _bm25_term(tf, df[term], len(toks), n, avgdl, params.k1, params.b)
-                        )
+            # each distinct query term's part of every candidate's score,
+            # 0.0 where it does not occur: all parts are positive, so the
+            # zeros leave every fsum bit for bit as without them
+            parts: dict[str, list[float]] = {}
+            for term in set(chain.from_iterable(query_tokens.values())):
+                tfs = list(map(methodcaller("count", term), doc_tokens))
+                df = n - tfs.count(0)
+                idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+                parts[term] = [
+                    idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl)) if tf else 0.0
+                    for tf, dl in zip(tfs, lens)
+                ]
+            zeros = (0.0,) * n  # the score of a query without tokens
+            scores = {
+                query: list(map(math.fsum, zip(zeros, *map(parts.__getitem__, toks))))
+                for query, toks in query_tokens.items()
+            }
+            for i, cand in enumerate(cands):
                 row = cand + pad
-                rows.append(row[:s] + (math.fsum(contribs),) + row[s + 1 :])
-        return Relation._trusted(*rank_tuples(columns, rows))
+                rows.append(row[:s] + (scores[cand[t]][i],) + row[s + 1 :])
+        columns, rows = rank_tuples(columns, rows)
+        r = columns.index("rank")
+        return Relation._trusted(columns, [row for row in rows if row[r] < params.num_results])
 
     return Transformer(
         name="rescore",

@@ -37,6 +37,14 @@ def toy_index(toy_index_dir):
 
 
 @pytest.fixture(scope="session")
+def overflow_index(tmp_path_factory):
+    """d1's idf is high enough that a term's part of its score times 1.7e308 is inf."""
+    out = tmp_path_factory.mktemp("ix") / "overflow"
+    build_index([("d1", "alpha beta")] + [(f"x{i:02d}", "gamma") for i in range(20)], out)
+    return load_index(out)
+
+
+@pytest.fixture(scope="session")
 def toy_registry(toy_index):
     return registry(toy_index)
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from flowrank.algebra import Leaf, RRF, Then, execute, linear, rr_fusion, then
-from flowrank.errors import InvalidK, UnknownDocno, ValidationError, WeightLengthMismatch
+from flowrank.errors import DataError, InvalidK, UnknownDocno, ValidationError, WeightLengthMismatch
 from flowrank.frames import Relation
 from flowrank.transformers import bm25_retriever, lexical_rescorer, text_loader
 
@@ -51,6 +51,18 @@ class TestLinear:
             ("d1", 4.0, 0),
             ("d2", 2.0, 1),
         ]
+
+    @pytest.mark.parametrize(
+        "weights, score, reason",
+        [((1e308, 1e308), 1.5, "intermediate overflow"), ((1e308, -1e308), 10.0, "-inf + inf")],
+    )
+    def test_sum_leaving_the_floats_fails_at_the_fusion_node(self, weights, score, reason):
+        a, b = run_of("a", q1_run(("d1", score))), run_of("b", q1_run(("d1", score)))
+        node = rr_fusion([run_of("c", q1_run(("d2", 1.0))), linear([a, b], weights)])
+        with pytest.raises(DataError) as err:
+            execute(node, EMPTY_INPUT)
+        assert reason in str(err.value)
+        assert err.value.path == (1,)
 
     def test_union_with_zero_fill(self):
         a = run_of("a", q1_run(("d1", 2.0)))

@@ -85,6 +85,22 @@ class TestRelationInvariants:
         with pytest.raises(DataError):
             rel(rows, ["qid", "docno", "score", "rank"])
 
+    @pytest.mark.parametrize("nan_at", [0, 1])
+    def test_nan_score_rejected_in_either_row(self, nan_at):
+        rows = [
+            {"qid": "q1", "docno": "a", "score": 1.0, "rank": 0},
+            {"qid": "q1", "docno": "b", "score": 1.0, "rank": 1},
+        ]
+        rows[nan_at]["score"] = float("nan")
+        with pytest.raises(DataError, match="score nan for qid 'q1' cannot be ranked"):
+            rel(rows, ["qid", "docno", "score", "rank"])
+
+    def test_null_score_beside_ranks_rejected(self):
+        # {qid, query, score, rank} is a Q frame, where score may be null
+        rows = [{"qid": "q1", "query": "x", "score": None, "rank": 0}]
+        with pytest.raises(DataError, match="score None for qid 'q1' cannot be ranked"):
+            rel(rows, ["qid", "query", "score", "rank"])
+
     def test_null_required_column_rejected(self):
         with pytest.raises(DataError):
             rel([{"qid": "q1", "query": None}], ["qid", "query"])

@@ -14,7 +14,7 @@ from flowrank.mcp import (
     serve,
     tool_descriptor,
 )
-from flowrank.transformers import bm25_retriever, lexical_rescorer
+from flowrank.transformers import bm25_retriever, lexical_rescorer, registry
 
 
 def rpc(url, payload, raw=None):
@@ -172,6 +172,17 @@ class TestProtocol:
             )
         assert resp["result"]["isError"] is True
         assert "not finite" in resp["result"]["content"][0]["text"]
+
+    def test_score_overflow_is_tool_error(self, overflow_index):
+        config = ServerConfig(port=0, pipelines={"w": (elaborate(parse("wbm25"), registry(overflow_index)), "d")})
+        with serve(config) as handle:
+            resp = rpc(
+                handle.url,
+                {"jsonrpc": "2.0", "id": 10, "method": "tools/call",
+                 "params": {"name": "w", "arguments": {"queries": [{"qid": "q1", "query": "#w(6e307) alpha beta"}]}}},
+            )
+        assert resp["result"]["isError"] is True
+        assert "scores do not sum to a finite number" in resp["result"]["content"][0]["text"]
 
     def test_notification_gets_202_and_no_response(self, server):
         body = json.dumps({"jsonrpc": "2.0", "method": "notifications/initialized"}).encode()

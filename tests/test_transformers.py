@@ -8,12 +8,14 @@ from flowrank.frames import Relation
 from flowrank.transformers import (
     Bm25Params,
     SdmParams,
+    Transformer,
     bm25_retriever,
     extractive_answerer,
     first_sentence,
     lexical_rescorer,
     parse_weighted_query,
     sdm_rewriter,
+    spec,
     text_loader,
     weighted_bm25_retriever,
 )
@@ -293,6 +295,15 @@ class TestLexicalRescorer:
         with pytest.raises(DataError):
             lexical_rescorer().transform(self.candidates(rows))
 
+    def test_num_results_keeps_top_ranks_per_qid(self):
+        texts = {"d1": "fox", "d2": "fox fox dog", "d3": "dog", "d4": "fox"}
+        rows = [{"qid": "q1", "query": "fox", "docno": d, "text": t} for d, t in list(texts.items())[:3]]
+        rows.append({"qid": "q2", "query": "fox", "docno": "d4", "text": texts["d4"]})
+        full = lexical_rescorer().transform(self.candidates(rows))
+        out = lexical_rescorer(Bm25Params(num_results=2)).transform(self.candidates(rows))
+        assert len(out) == 3
+        assert out.rows == tuple(row for row in full.rows if row[full.columns.index("rank")] < 2)
+
 
 class TestExtractiveAnswerer:
     def ranked(self, rows):
@@ -359,6 +370,39 @@ class TestNullsInReadColumns:
         bad = rel([{"qid": "q1", "query": None, "docno": "d1", "score": 1.0, "rank": 0}], _RANKED_TEXT[:5])
         with pytest.raises(DataError) as err:
             execute(node, bad)
+        assert err.value.path == (1,)
+
+
+class TestNonFiniteScores:
+    """Sums that leave the floats, and NaN scores, are DataErrors with a path."""
+
+    @pytest.mark.parametrize(
+        "query, reason",
+        [
+            ("#w(6e307) alpha beta", "intermediate overflow"),
+            ("#w(1.7e308) alpha #w(-1.7e308) beta", "-inf + inf"),
+        ],
+    )
+    def test_weighted_sum_leaving_the_floats_fails_at_its_leaf(self, overflow_index, query, reason):
+        index = overflow_index
+        node = rr_fusion([Leaf(bm25_retriever(index)), Leaf(weighted_bm25_retriever(index))])
+        with pytest.raises(DataError) as err:
+            execute(node, qframe(("q1", query)))
+        assert "scores do not sum to a finite number" in str(err.value)
+        assert reason in str(err.value)
+        assert err.value.path == (1,)
+
+    def test_custom_stage_returning_nan_fails_at_its_path(self, toy_index):
+        def nan_scores(rel_in):
+            return rel(
+                [{**row, "score": math.nan} for row in rel_in.to_dicts()], list(rel_in.columns)
+            )
+
+        ranked = {"qid", "docno", "score", "rank"}
+        stage = Transformer("nan", "scores everything NaN", (), spec(ranked, ranked, passthrough=True), nan_scores)
+        node = then(Leaf(bm25_retriever(toy_index)), Leaf(stage))
+        with pytest.raises(DataError, match="score nan for qid 'q1' cannot be ranked") as err:
+            execute(node, qframe(("q1", "quick fox")))
         assert err.value.path == (1,)
 
 

@@ -11,6 +11,7 @@ import tempfile
 from flowrank import (
     attributes,
     build_index,
+    flow,
     input_columns,
     load_index,
     output_columns,
@@ -34,6 +35,15 @@ node = elaborate(parse("bm25 >> text_loader >> rescore"), reg)
 # What does the whole chain need, and what comes out?
 print("accepted inputs:", [sorted(s) for s in input_columns(node)])
 print("outputs for {qid, query}:", sorted(output_columns(node, {"qid", "query"})))
+
+# Both answers come from one walk that propagates columns through the tree:
+# one step per tree path, in preorder, here for a fused pipeline.
+fused = elaborate(parse("rrf(bm25, sdm >> wbm25) >> text_loader"), reg)
+print(f"  {'path':<8} {'label':<12} {'inputs':<32} outputs")
+for path, step in flow(fused, {"qid", "query"}).items():
+    where = "[" + ".".join(map(str, path)) + "]"
+    inputs, outputs = ", ".join(sorted(step.inputs)), ", ".join(sorted(step.outputs))
+    print(f"  {where:<8} {step.label:<12} {inputs:<32} {outputs}")
 
 # Every constituent transformer, with its tree path and settings.
 for path, t in subtransformers(node):

@@ -38,6 +38,7 @@ from .inspect import (
     IoReport,
     ValidationDiagnostic,
     attributes,
+    flow,
     input_columns,
     io_report,
     output_columns,

@@ -70,7 +70,7 @@ class RRF(PipelineNode):
     def __post_init__(self):
         if len(self.children) < 2:
             raise ValueError("rank fusion needs at least two children")
-        if not self.k > 0:
+        if not (math.isfinite(self.k) and self.k > 0):
             raise InvalidK(self.k)
 
 

@@ -115,7 +115,7 @@ class WeightLengthMismatch(FlowrankError):
 
 class InvalidK(FlowrankError):
     def __init__(self, k):
-        super().__init__(f"rank fusion constant must be > 0, got {k!r}")
+        super().__init__(f"rank fusion constant must be finite and > 0, got {k!r}")
 
 
 class ValidationError(FlowrankError):

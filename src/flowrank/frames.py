@@ -297,13 +297,13 @@ def _unique(values: Sequence, label: str):
         seen.add(v)
 
 
-def ranked(rows: Sequence, qid, score, docno) -> Iterator[tuple[object, int]]:
+def ranked(rows: Sequence[tuple], qid: int, score: int, docno: int) -> Iterator[tuple[tuple, int]]:
     """``(row, rank)`` pairs ordered by (qid asc, score desc, docno asc).
 
     This is the single ranking rule used everywhere a result frame is
     produced; ties in score break by ascending docno for determinism, and
-    ranks count from 0 within each qid.  *qid*, *score* and *docno* index
-    into each row: positions for tuples, names for dicts.
+    ranks count from 0 within each qid.  *qid*, *score* and *docno* are
+    positions in each row tuple.
     """
     ordered = sorted(rows, key=lambda r: (r[qid], -r[score], r[docno]))
     for _, group in itertools.groupby(ordered, key=operator.itemgetter(qid)):
@@ -318,11 +318,6 @@ def rank_tuples(columns: Sequence[str], rows: Sequence[tuple]) -> tuple[list[str
         columns.append("rank")
     q, s, d, r = (columns.index(c) for c in ("qid", "score", "docno", "rank"))
     return columns, [row[:r] + (rank,) + row[r + 1 :] for row, rank in ranked(rows, q, s, d)]
-
-
-def rank_rows(rows: Iterable[Mapping]) -> list[dict]:
-    """Order row dicts by (qid asc, score desc, docno asc) and write ``rank``."""
-    return [{**row, "rank": rank} for row, rank in ranked(list(rows), "qid", "score", "docno")]
 
 
 def sort_and_rank(rel: Relation) -> Relation:

@@ -9,6 +9,7 @@ inspection is safe on pipelines that would be expensive (or wrong) to run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .algebra import Leaf, Linear, PipelineNode, Then
 from .errors import NotSatisfied, Uninspectable, cols_str, path_str
@@ -44,14 +45,17 @@ class IoReport:
     outputs_for: dict[frozenset[str], frozenset[str]] = field(default_factory=dict)
 
 
-def _node_label(node: PipelineNode) -> str:
-    if isinstance(node, Leaf):
-        return node.transformer.name
-    if isinstance(node, Then):
-        return "chain"
-    if isinstance(node, Linear):
-        return "linear"
-    return "rrf"
+class FlowStep(NamedTuple):
+    """Columns into and out of the node at *path*, labelled by its kind.
+
+    A leaf's label is its transformer's name; other nodes are ``chain``,
+    ``linear`` or ``rrf``.
+    """
+
+    path: tuple[int, ...]
+    label: str
+    inputs: frozenset[str]
+    outputs: frozenset[str]
 
 
 def _failure(path, label, required, available) -> ValidationDiagnostic:
@@ -68,67 +72,70 @@ def _failure(path, label, required, available) -> ValidationDiagnostic:
     )
 
 
-def _walk(node: PipelineNode, path: tuple[int, ...], cols: frozenset[str]):
-    """Propagate *cols* through *node*; returns (ok, out_cols | diagnostic)."""
+def flow(node: PipelineNode, given) -> dict[tuple[int, ...], FlowStep]:
+    """Propagate *given* columns through the tree, one step per node.
+
+    The steps are keyed by tree path, in preorder.  This is the one place
+    column sets are propagated; validation, output columns, schematics and
+    tool descriptors all read it.  Raises :class:`NotSatisfied` with the
+    first failure (leftmost, outermost first).
+    """
+    steps: dict[tuple[int, ...], FlowStep] = {}
+    _flow(node, (), frozenset(given), steps)
+    return steps
+
+
+def _flow(node: PipelineNode, path: tuple[int, ...], cols: frozenset[str], steps: dict) -> frozenset[str]:
+    """Record the step of *node* and of every node below it; returns its outputs."""
+    steps[path] = None  # keeps preorder: a node's place precedes its children's
     if isinstance(node, Leaf):
-        spec = node.transformer.spec
+        label, spec = node.transformer.name, node.transformer.spec
         if spec is None:
-            return False, ValidationDiagnostic(
-                ok=False,
-                failing_path=path,
-                missing=frozenset(),
-                available=cols,
-                message=(
-                    f"invalid pipeline at {path_str(path)}: "
-                    f"{node.transformer.name} declares no inspection spec"
-                ),
+            raise NotSatisfied(
+                ValidationDiagnostic(
+                    ok=False,
+                    failing_path=path,
+                    available=cols,
+                    message=f"invalid pipeline at {path_str(path)}: {label} declares no inspection spec",
+                )
             )
         matched = spec.match(cols)
         if matched is None:
-            best = min(spec.accepted_inputs, key=lambda a: (len(a - cols), sorted(a)))
-            return False, _failure(path, node.transformer.name, best, cols)
+            raise NotSatisfied(_failure(path, label, spec.closest(cols), cols))
         out = spec.output_for(matched)
         if spec.passthrough:
             out = out | (cols - matched)
-        return True, out
-    if isinstance(node, Then):
+    elif isinstance(node, Then):
+        label, out = "chain", cols
         for i, child in enumerate(node.children):
-            ok, result = _walk(child, path + (i,), cols)
-            if not ok:
-                return False, result
-            cols = result
-        return True, cols
-    # fusion nodes: every child sees the same input and must yield a ranking
-    label = _node_label(node)
-    child_outputs = []
-    for i, child in enumerate(node.children):
-        ok, result = _walk(child, path + (i,), cols)
-        if not ok:
-            return False, result
-        child_outputs.append(result)
-    for i, out in enumerate(child_outputs):
-        if not FUSION_CHILD_OUTPUT <= out:
-            return False, _failure(path + (i,), f"{label} child output", FUSION_CHILD_OUTPUT, out)
-    fused = FUSION_OUTPUT
-    if all("query" in out for out in child_outputs):
-        fused = fused | {"query"}
-    return True, fused
+            out = _flow(child, path + (i,), out, steps)
+    else:
+        # fusion nodes: every child sees the same input and must yield a ranking
+        label = "linear" if isinstance(node, Linear) else "rrf"
+        child_outputs = [_flow(child, path + (i,), cols, steps) for i, child in enumerate(node.children)]
+        for i, child_out in enumerate(child_outputs):
+            if not FUSION_CHILD_OUTPUT <= child_out:
+                diagnostic = _failure(path + (i,), f"{label} child output", FUSION_CHILD_OUTPUT, child_out)
+                raise NotSatisfied(diagnostic)
+        out = FUSION_OUTPUT
+        if all("query" in child_out for child_out in child_outputs):
+            out = out | {"query"}
+    steps[path] = FlowStep(path, label, cols, out)
+    return out
 
 
 def validate(node: PipelineNode, given) -> ValidationDiagnostic:
     """Check that *given* columns satisfy every stage; reports the first failure."""
-    ok, result = _walk(node, (), frozenset(given))
-    if ok:
-        return ValidationDiagnostic(ok=True)
-    return result
+    try:
+        flow(node, given)
+    except NotSatisfied as exc:
+        return exc.diagnostic
+    return ValidationDiagnostic(ok=True)
 
 
 def output_columns(node: PipelineNode, given) -> frozenset[str]:
     """Columns the pipeline produces when fed exactly *given* columns."""
-    ok, result = _walk(node, (), frozenset(given))
-    if not ok:
-        raise NotSatisfied(result)
-    return result
+    return flow(node, given)[()].outputs
 
 
 def input_columns(node: PipelineNode) -> list[frozenset[str]]:

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .algebra import PipelineNode, execute
-from .errors import BindError, FlowrankError, NotServable
+from .errors import BindError, FlowrankError, NotSatisfied, NotServable
 from .frames import Relation, canonical_columns
-from .inspect import output_columns, validate
+from .inspect import output_columns
 
 PROTOCOL_VERSION = "2025-03-26"
 SERVER_NAME = "flowrank-mcp"
@@ -82,10 +82,10 @@ def _queries_schema() -> dict:
 
 def tool_descriptor(name: str, node: PipelineNode, description: str) -> ToolDescriptor:
     """Describe a pipeline as a tool; only query-frame-rooted pipelines serve."""
-    diagnostic = validate(node, _SERVABLE_INPUT)
-    if not diagnostic.ok:
-        raise NotServable(name, diagnostic)
-    produced = canonical_columns(output_columns(node, _SERVABLE_INPUT))
+    try:
+        produced = canonical_columns(output_columns(node, _SERVABLE_INPUT))
+    except NotSatisfied as exc:
+        raise NotServable(name, exc.diagnostic) from None
     return ToolDescriptor(name, description, _queries_schema(), tuple(produced))
 
 

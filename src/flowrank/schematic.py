@@ -13,10 +13,10 @@ from __future__ import annotations
 import html
 from dataclasses import dataclass
 
-from .algebra import Leaf, Linear, PipelineNode, RRF, Then
-from .errors import ValidationError
-from .frames import FRAME_REQUIREMENTS, canonical_columns
-from .inspect import attributes, format_value, output_columns, validate
+from .algebra import Leaf, Linear, PipelineNode, Then
+from .errors import NotSatisfied, ValidationError
+from .frames import canonical_columns, classify_frame
+from .inspect import attributes, flow, format_value
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,10 @@ def badge_kind(columns) -> str:
     mark an R badge as extended; any other extra column adds ``+``.
     """
     columns = set(columns)
-    for base, required in FRAME_REQUIREMENTS:
-        if required <= columns:
-            allowed = required | {"query"} if base == "R" else required
-            return base + ("+" if columns - allowed else "")
-    return "?"
+    kind = classify_frame(columns)
+    if kind.base == "R":
+        kind = classify_frame(columns - {"query"})
+    return kind.abbr
 
 
 def _badge(columns) -> FrameBadge:
@@ -69,45 +68,33 @@ def _badge(columns) -> FrameBadge:
 
 def build_schematic(node: PipelineNode, given) -> SchematicGraph:
     """Lay out a validated pipeline as stages and badges from *given* columns."""
-    diagnostic = validate(node, given)
-    if not diagnostic.ok:
-        raise ValidationError(diagnostic)
-    items, _ = _build_chain(node, (), frozenset(given))
-    return SchematicGraph(_badge(given), tuple(items))
+    try:
+        steps = flow(node, given)
+    except NotSatisfied as exc:
+        raise ValidationError(exc.diagnostic) from None
+    return SchematicGraph(_badge(given), tuple(_layout(node, (), steps)))
 
 
-def _build_chain(node: PipelineNode, path, cols):
+def _layout(node: PipelineNode, path, steps) -> list:
+    """(stage, badge-after) pairs for *node*; a chain's stages join its parent's."""
     if isinstance(node, Then):
-        items = []
-        for i, child in enumerate(node.children):
-            child_items, cols = _build_chain(child, path + (i,), cols)
-            items.extend(child_items)
-        return items, cols
+        return [item for i, child in enumerate(node.children) for item in _layout(child, path + (i,), steps)]
+    step = steps[path]
     if isinstance(node, Leaf):
         t = node.transformer
-        out = output_columns(node, cols)
         attr_pairs = tuple(attributes(t))
         tooltip = t.description
         if attr_pairs:
             tooltip += "\n" + "\n".join(f"{k}={v}" for k, v in attr_pairs)
-        box = Box(tuple(path), t.name, attr_pairs, tooltip)
-        return [(box, _badge(out))], out
-    # fusion node
-    if isinstance(node, Linear):
-        op = "linear"
-        params = tuple((f"w{i}", format_value(w)) for i, w in enumerate(node.weights))
-    elif isinstance(node, RRF):
-        op = "rrf"
-        params = (("k", format_value(node.k)),)
+        stage = Box(path, step.label, attr_pairs, tooltip)
     else:
-        raise TypeError(f"unknown pipeline node: {node!r}")
-    lanes = []
-    for i, child in enumerate(node.children):
-        lane_items, _ = _build_chain(child, path + (i,), cols)
-        lanes.append(tuple(lane_items))
-    out = output_columns(node, cols)
-    fork = Fork(tuple(path), op, params, tuple(lanes))
-    return [(fork, _badge(out))], out
+        if isinstance(node, Linear):
+            params = tuple((f"w{i}", format_value(w)) for i, w in enumerate(node.weights))
+        else:
+            params = (("k", format_value(node.k)),)
+        lanes = tuple(tuple(_layout(child, path + (i,), steps)) for i, child in enumerate(node.children))
+        stage = Fork(path, step.label, params, lanes)
+    return [(stage, _badge(step.outputs))]
 
 
 # --------------------------------------------------------------------------

@@ -51,6 +51,11 @@ class TransformerSpec:
                 return accepted
         return None
 
+    def closest(self, columns) -> frozenset[str]:
+        """Accepted set missing the fewest of *columns*; ties go to the first in sorted order."""
+        columns = set(columns)
+        return min(self.accepted_inputs, key=lambda a: (len(a - columns), sorted(a)))
+
     def output_for(self, matched: frozenset[str]) -> frozenset[str]:
         for accepted, produced in self.outputs:
             if accepted == matched:
@@ -82,9 +87,7 @@ class Transformer:
         if self.spec is not None:
             matched = self.spec.match(rel.columns)
             if matched is None:
-                required = min(
-                    self.spec.accepted_inputs, key=lambda a: (len(a - set(rel.columns)), sorted(a))
-                )
+                required = self.spec.closest(rel.columns)
                 raise MissingColumn(
                     required - set(rel.columns), required, set(rel.columns), who=self.name
                 )
@@ -123,12 +126,12 @@ class Bm25Params:
     num_results: int = 1000
 
     def __post_init__(self):
-        if self.k1 < 0:
-            raise ValueError(f"k1 must be >= 0, got {self.k1}")
+        if not (math.isfinite(self.k1) and self.k1 >= 0):
+            raise ValueError(f"k1 must be finite and >= 0, got {self.k1}")
         if not 0 <= self.b <= 1:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
-        if self.num_results < 1:
-            raise ValueError(f"num_results must be >= 1, got {self.num_results}")
+        if not (isinstance(self.num_results, int) and self.num_results >= 1):
+            raise ValueError(f"num_results must be an integer >= 1, got {self.num_results}")
 
 
 @dataclass(frozen=True)
@@ -137,6 +140,8 @@ class SdmParams:
     lambda_o: float = 0.1
 
     def __post_init__(self):
+        if not (math.isfinite(self.lambda_t) and math.isfinite(self.lambda_o)):
+            raise ValueError("weights must be finite")
         if self.lambda_t < 0 or self.lambda_o < 0:
             raise ValueError("weights must be non-negative")
         if abs(self.lambda_t + self.lambda_o - 1.0) > 1e-9:

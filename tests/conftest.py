@@ -8,7 +8,7 @@ import random
 import pytest
 
 from flowrank.algebra import Leaf, Linear, RRF, Then
-from flowrank.frames import Relation, canonical_columns, rank_rows
+from flowrank.frames import Relation, canonical_columns, rank_tuples, schema_for, sort_and_rank
 from flowrank.index import build_index, load_index
 from flowrank.transformers import Transformer, TransformerSpec, registry, spec
 
@@ -112,7 +112,7 @@ def vec_retriever() -> Transformer:
                 rows.append(
                     {"qid": qid, "query_vec": vec, "docno": docno, "score": _pseudo_score(qid, docno)}
                 )
-        return Relation.from_dicts(rank_rows(rows), ["qid", "query_vec", "docno", "score", "rank"])
+        return sort_and_rank(Relation.from_dicts(rows, ["qid", "query_vec", "docno", "score"]))
 
     return Transformer(
         name="vec_retriever",
@@ -227,19 +227,11 @@ def synthesize_relation(columns, rng: random.Random) -> Relation:
     else:
         rows = [fill({}) for _ in range(rng.randint(1, 4))]
 
-    if {"qid", "score", "rank"} <= columns:
-        rows = rank_rows(rows) if "docno" in columns else _rank_without_docno(rows)
-    return Relation.from_dicts(rows, ordered)
-
-
-def _rank_without_docno(rows: list[dict]) -> list[dict]:
-    # one row per qid here, so every rank is 0
-    out = []
-    for row in rows:
-        row = dict(row)
-        row["rank"] = 0
-        out.append(row)
-    return out
+    tuples = [tuple(row[c] for c in ordered) for row in rows]
+    if {"qid", "docno", "score", "rank"} <= columns:
+        _, tuples = rank_tuples(ordered, tuples)
+    # without a docno there is one row per qid, and fill() set every rank to 0
+    return Relation(schema_for(ordered), tuple(tuples))
 
 
 def random_tree(pool: list[Transformer], rng: random.Random, depth: int = 4):

@@ -98,6 +98,12 @@ class TestRRF:
         with pytest.raises(InvalidK):
             rr_fusion([a, b], k=0)
 
+    @pytest.mark.parametrize("k", [-1.0, math.nan, math.inf, -math.inf])
+    def test_non_positive_or_non_finite_k(self, k):
+        a, b = run_of("a", q1_run(("d1", 1.0))), run_of("b", q1_run(("d2", 1.0)))
+        with pytest.raises(InvalidK):
+            rr_fusion([a, b], k=k)
+
     def test_hand_oracle(self):
         a = run_of("a", q1_run(("dA", 2.0), ("dB", 1.0)))
         b = run_of("b", q1_run(("dB", 9.0), ("dC", 5.0)))

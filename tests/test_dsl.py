@@ -4,7 +4,7 @@ import pytest
 
 from flowrank.algebra import Leaf, RRF, Then
 from flowrank.dsl import ELinear, ERef, ERRF, EThen, elaborate, parse, render
-from flowrank.errors import BadArgument, ParseError, UnknownTransformer
+from flowrank.errors import BadArgument, InvalidK, ParseError, UnknownTransformer
 
 from conftest import random_expr
 
@@ -76,6 +76,13 @@ class TestElaborate:
     def test_bad_argument_value(self, toy_registry):
         with pytest.raises(BadArgument):
             elaborate(parse("bm25(b=7.0)"), toy_registry)
+
+    def test_overflowing_literal_is_rejected(self, toy_registry):
+        # 1e999 reads as inf, which Bm25Params and RRF reject
+        with pytest.raises(BadArgument):
+            elaborate(parse("bm25(k1=1e999)"), toy_registry)
+        with pytest.raises(InvalidK):
+            elaborate(parse("rrf(bm25, bm25, k=1e999)"), toy_registry)
 
     def test_chain_flattens(self, toy_registry):
         node = elaborate(parse("(bm25 >> text_loader) >> rescore"), toy_registry)

@@ -5,15 +5,17 @@ here (only ``random.Random.random`` is drawn from, so the stream does not
 depend on the Python version).  Some documents share their text, so tied
 scores and the docno tie-break are exercised too.  The runs of three
 reference pipelines and the figure-1 answers must match the files under
-``tests/goldens/`` byte for byte.
+``tests/goldens/`` byte for byte.  So must the figure-1 schematics, which
+``test_schematic.py`` and the acceptance suite check as well.
 
-After a deliberate ranking change, regenerate the files with::
+After a deliberate ranking or schematic change, regenerate the files with::
 
     PYTHONPATH=src python tests/test_goldens.py
 """
 
 from __future__ import annotations
 
+import os
 import random
 import sys
 import tempfile
@@ -25,7 +27,10 @@ from flowrank.algebra import execute
 from flowrank.dsl import elaborate, parse
 from flowrank.frames import Relation, format_trec_run
 from flowrank.index import build_index, load_index
+from flowrank.schematic import build_schematic, render_html, render_text
 from flowrank.transformers import registry
+
+from conftest import FIGURE1_EXPR, TOY5
 
 GOLDENS = Path(__file__).parent / "goldens"
 SEED = 7
@@ -101,6 +106,18 @@ def produce(index_dir: Path) -> dict[str, str]:
     return out
 
 
+def produce_schematics() -> dict[str, str]:
+    """The figure-1 schematic files over the toy corpus, indexed at ``ix``.
+
+    The text_loader tooltip shows the index path, so the index is built at
+    that relative path in the current directory.
+    """
+    build_index(TOY5, "ix")
+    node = elaborate(parse(FIGURE1_EXPR), registry(load_index("ix")))
+    graph = build_schematic(node, {"qid", "query"})
+    return {"figure1.html": render_html(graph), "figure1.txt": render_text(graph)}
+
+
 @pytest.fixture(scope="module")
 def produced(tmp_path_factory):
     return produce(tmp_path_factory.mktemp("goldens") / "index")
@@ -111,8 +128,20 @@ def test_output_matches_golden(produced, name):
     assert produced[name] == (GOLDENS / name).read_text(encoding="utf-8")
 
 
+def test_schematics_match_goldens(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in produce_schematics().items():
+        assert text == (GOLDENS / name).read_text(encoding="utf-8"), name
+
+
 if __name__ == "__main__":
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in produce(Path(tmp) / "index").items():
+        os.chdir(tmp)
+        try:
+            files = {**produce(Path(tmp) / "index"), **produce_schematics()}
+        finally:
+            os.chdir(cwd)
+        for name, text in files.items():
             (GOLDENS / name).write_text(text, encoding="utf-8")
             print(f"wrote {GOLDENS / name}", file=sys.stderr)

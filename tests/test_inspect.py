@@ -3,9 +3,11 @@ import random
 import pytest
 
 from flowrank.algebra import Leaf, execute, rr_fusion, then
+from flowrank.dsl import elaborate, parse
 from flowrank.errors import MissingColumn, NotSatisfied, Uninspectable
 from flowrank.inspect import (
     attributes,
+    flow,
     input_columns,
     io_report,
     output_columns,
@@ -22,7 +24,13 @@ from flowrank.transformers import (
     weighted_bm25_retriever,
 )
 
-from conftest import random_tree, synthesize_relation
+from conftest import random_expr, random_tree, synthesize_relation
+
+
+def node_at(tree, path):
+    for i in path:
+        tree = tree.children[i]
+    return tree
 
 
 class TestInputColumns:
@@ -135,6 +143,36 @@ class TestValidate:
         assert diag.missing == frozenset({"docno", "score"})
 
 
+class TestFlow:
+    def test_figure1_steps_in_preorder(self, figure1):
+        steps = flow(figure1, {"qid", "query"})
+        assert [(path, step.label) for path, step in steps.items()] == [
+            ((), "chain"),
+            ((0,), "rrf"),
+            ((0, 0), "bm25"),
+            ((0, 1), "chain"),
+            ((0, 1, 0), "sdm"),
+            ((0, 1, 1), "wbm25"),
+            ((1,), "text_loader"),
+            ((2,), "rescore"),
+            ((3,), "answer"),
+        ]
+        assert all(step.path == path for path, step in steps.items())
+        ranked = frozenset({"qid", "query", "docno", "score", "rank"})
+        assert steps[(0, 1, 0)].inputs == steps[(0, 1)].inputs == frozenset({"qid", "query"})
+        assert steps[(0,)].outputs == steps[(1,)].inputs == ranked
+        assert steps[(2,)].inputs == ranked | {"text"}
+        assert steps[()].outputs == steps[(3,)].outputs == frozenset({"qid", "qanswer"})
+
+    def test_failure_carries_the_validate_diagnostic(self, toy_index):
+        rescored = then(Leaf(sdm_rewriter()), Leaf(lexical_rescorer()))
+        node = rr_fusion([Leaf(bm25_retriever(toy_index)), rescored])
+        with pytest.raises(NotSatisfied) as err:
+            flow(node, {"qid", "query"})
+        assert err.value.diagnostic == validate(node, {"qid", "query"})
+        assert err.value.diagnostic.failing_path == (1, 1)
+
+
 class TestSubtransformersAndAttributes:
     def test_single_leaf_has_root_path(self, toy_index):
         t = bm25_retriever(toy_index)
@@ -199,3 +237,22 @@ class TestSoundnessAndAgreement:
             assert set(out.columns) == set(output_columns(tree, given))
             checked += 1
         assert checked >= 40
+
+    def test_every_node_agrees_with_flow(self, toy_registry, synthetic_transformers):
+        """Each subtree, run on a relation with its static inputs, yields its static outputs."""
+        pool = [factory() for factory in toy_registry.values()] + synthetic_transformers
+        rng = random.Random(23)
+        trees = [random_tree(pool, rng) for _ in range(120)]
+        # fusion nodes are rarely satisfiable, so draw many expressions
+        trees += [elaborate(parse(random_expr(rng, 4)), toy_registry) for _ in range(400)]
+        nodes, fusions = 0, 0
+        for tree in trees:
+            accepted = input_columns(tree)
+            if not accepted:
+                continue
+            for path, step in flow(tree, accepted[0]).items():
+                out = execute(node_at(tree, path), synthesize_relation(step.inputs, rng))
+                assert set(out.columns) == step.outputs, f"{step.label} at {path}"
+                nodes += 1
+                fusions += step.label in ("linear", "rrf")
+        assert nodes >= 200 and fusions >= 10

@@ -4,12 +4,13 @@ from pathlib import Path
 
 import pytest
 
+from flowrank import inspect as fr_inspect
 from flowrank.algebra import Leaf, rr_fusion, then
 from flowrank.dsl import elaborate, parse
 from flowrank.errors import ValidationError
 from flowrank.frames import canonical_columns
 from flowrank.index import build_index, load_index
-from flowrank.inspect import input_columns, output_columns, subtransformers
+from flowrank.inspect import flow, input_columns, output_columns, subtransformers
 from flowrank.schematic import (
     Box,
     Fork,
@@ -20,7 +21,7 @@ from flowrank.schematic import (
 )
 from flowrank.transformers import bm25_retriever, lexical_rescorer, registry, text_loader
 
-from conftest import FIGURE1_EXPR, TOY5
+from conftest import FIGURE1_EXPR, TOY5, random_expr
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -175,3 +176,53 @@ class TestRandomChains:
                 continue
             g = build_schematic(node, accepted[0])
             assert set(g.items[-1][1].columns) == set(output_columns(node, accepted[0]))
+
+
+class TestFlowAgreement:
+    """Every stage and badge of a schematic reads the step at its own path."""
+
+    def test_random_trees_with_fusion(self, toy_registry):
+        rng = random.Random(8)
+        fusions = 0
+        for _ in range(300):
+            node = elaborate(parse(random_expr(rng, 4)), toy_registry)
+            accepted = input_columns(node)
+            if not accepted:
+                continue
+            steps = flow(node, accepted[0])
+            seen = []
+
+            def check(items):
+                nonlocal fusions
+                for stage, badge in items:
+                    step = steps[stage.path]
+                    seen.append(stage.path)
+                    assert badge.columns == tuple(canonical_columns(step.outputs))
+                    assert badge.kind == badge_kind(step.outputs)
+                    if isinstance(stage, Box):
+                        assert stage.title == step.label
+                    else:
+                        assert stage.op == step.label
+                        fusions += 1
+                        for lane in stage.lanes:
+                            check(lane)
+
+            check(build_schematic(node, accepted[0]).items)
+            assert seen == [path for path, step in steps.items() if step.label != "chain"]
+        assert fusions >= 10
+
+    def test_deep_fusion_is_walked_once(self, toy_index, monkeypatch):
+        node = Leaf(bm25_retriever(toy_index))
+        for _ in range(30):
+            node = rr_fusion([node, Leaf(bm25_retriever(toy_index))])
+        entered = []
+        original = fr_inspect._flow
+
+        def counting(node, path, *args):
+            entered.append(path)
+            return original(node, path, *args)
+
+        monkeypatch.setattr(fr_inspect, "_flow", counting)
+        g = build_schematic(node, {"qid", "query"})
+        assert len(entered) == len(set(entered)) == 61
+        assert g.items[0][0].op == "rrf" and g.items[0][1].kind == "R"

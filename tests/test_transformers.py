@@ -427,3 +427,37 @@ class TestSpecBehaviorAgreement:
                     if t.spec.passthrough:
                         expected = expected | (cols - accepted)
                     assert set(out.columns) == set(expected), name
+
+
+class TestParameterChecks:
+    """Non-finite or mistyped parameters fail where they are set, not at scoring."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"k1": math.nan},
+            {"k1": math.inf},
+            {"k1": -0.5},
+            {"b": math.nan},
+            {"b": math.inf},
+            {"num_results": math.inf},
+            {"num_results": 5.0},
+            {"num_results": 0},
+        ],
+    )
+    def test_bm25_params(self, kwargs):
+        with pytest.raises(ValueError):
+            Bm25Params(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"lambda_t": math.nan, "lambda_o": 0.1},
+            {"lambda_o": math.nan},
+            {"lambda_t": math.inf, "lambda_o": -math.inf},
+            {"lambda_t": 1.1, "lambda_o": -0.1},
+        ],
+    )
+    def test_sdm_params(self, kwargs):
+        with pytest.raises(ValueError):
+            SdmParams(**kwargs)

@@ -24,7 +24,7 @@ import re
 import threading
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count
-from operator import ge, lt
+from operator import ge, itemgetter, lt
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -218,7 +218,7 @@ def _read_docs(file: Path, n_docs: int) -> tuple[tuple[str, ...], tuple[int, ...
     return tuple(docnos), tuple(doc_lens), texts
 
 
-def _columns_fault(df, cf, doc_ids, tfs, positions, n_docs: int) -> str | None:
+def _columns_fault(df, cf, doc_ids, tfs, positions, doc_lens: tuple[int, ...]) -> str | None:
     """What is wrong with one term's postings columns, or None if nothing is.
 
     Each check is a C-level pass over a column, so a load makes no object
@@ -230,18 +230,38 @@ def _columns_fault(df, cf, doc_ids, tfs, positions, n_docs: int) -> str | None:
         return "postings values must be integers"
     if not (df == len(doc_ids) == len(tfs) and cf == len(positions) == sum(tfs)):
         return "df/cf inconsistent"
-    if tfs and min(tfs) < 1:
+    if not doc_ids:
+        return None
+    if min(tfs) < 1:
         return "tf below 1"
-    if doc_ids and not (0 <= doc_ids[0] and doc_ids[-1] < n_docs and all(map(lt, doc_ids, doc_ids[1:]))):
+    n_docs = len(doc_lens)
+    if not (0 <= doc_ids[0] and doc_ids[-1] < n_docs and all(map(lt, doc_ids, doc_ids[1:]))):
         return f"doc_ids out of range [0, {n_docs}) or not ascending"
-    # positions may fall or repeat only where a new document starts
-    if not set(compress(count(1), map(ge, positions, positions[1:]))).issubset(accumulate(tfs)):
+    last = list(accumulate(tfs, initial=-1))[1:]  # the index of each document's last position
+    # positions may fall or repeat only after a document's last one
+    if not set(compress(count(), map(ge, positions, positions[1:]))).issubset(last):
         return "positions not ascending within a document"
+    # so a document's first position is its least and its last its greatest
+    if min(positions) < 0 or any(map(ge, _pick(positions, last), _pick(doc_lens, doc_ids))):
+        return "positions outside [0, doc_len) of their document"
     return None
 
 
-def _read_postings(file: Path, n_docs: int) -> dict[str, Columns]:
-    """Term -> ``(doc_ids, tfs, positions)`` columns; checked against *n_docs*."""
+def _pick(seq, indices: list[int]) -> tuple:
+    """The items of *seq* at *indices* as a tuple, in one C-level call."""
+    if len(indices) > 1:
+        return itemgetter(*indices)(seq)
+    # itemgetter returns a bare item for one index and fails for none
+    return tuple(map(seq.__getitem__, indices))
+
+
+def _read_postings(file: Path, doc_lens: tuple[int, ...]) -> dict[str, Columns]:
+    """Term -> ``(doc_ids, tfs, positions)`` columns; checked against *doc_lens*.
+
+    Every term's ``doc_ids`` point at the same int object per document,
+    one of ``range(n_docs)``, instead of at one JSON-decoded int per posting.
+    """
+    ids = tuple(range(len(doc_lens)))
     table = {}
     for lineno, line in enumerate(_read_lines(file), start=1):
         try:
@@ -250,10 +270,10 @@ def _read_postings(file: Path, n_docs: int) -> dict[str, Columns]:
             doc_ids, tfs, positions = obj["doc_ids"], obj["tfs"], obj["positions"]
         except _BAD_VALUE as exc:
             raise CorruptIndex(str(file), f"line {lineno}: {exc}") from exc
-        fault = _columns_fault(df, cf, doc_ids, tfs, positions, n_docs)
+        fault = _columns_fault(df, cf, doc_ids, tfs, positions, doc_lens)
         if fault is not None:
             raise CorruptIndex(str(file), f"line {lineno}: {fault} for term {term!r}")
-        table[term] = (tuple(doc_ids), tuple(tfs), tuple(positions))
+        table[term] = (_pick(ids, doc_ids), tuple(tfs), tuple(positions))
     return table
 
 
@@ -317,7 +337,7 @@ class Index:
             if self._postings is None:
                 docs = _read_docs(self.path / "docs.jsonl", self._stats.n_docs)
                 self._check_stats(docs[1])
-                table = _read_postings(self.path / "postings.jsonl", self._stats.n_docs)
+                table = _read_postings(self.path / "postings.jsonl", docs[1])
                 self._docnos, self._doc_lens, self._texts = docs
                 # assigned last: the unlocked check above reads it
                 self._postings = table

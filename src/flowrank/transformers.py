@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain, compress
-from operator import itemgetter, methodcaller, neg
+from operator import itemgetter, neg
 from typing import Callable
 
 from .errors import DataError, EmptyQuery, MalformedWeightedQuery, MissingColumn
@@ -74,7 +74,9 @@ class Transformer:
     """A named unit mapping one relation to another.
 
     ``fn`` is the raw transform procedure; call :meth:`transform` instead,
-    which checks the input against the spec first.
+    which checks the input against the spec first.  ``index`` is the index
+    handle ``fn`` reads, if any: transformers over different handles are
+    never equal, though it is not one of the displayed ``attributes``.
     """
 
     name: str
@@ -82,6 +84,7 @@ class Transformer:
     attributes: tuple[tuple[str, object], ...]
     spec: TransformerSpec | None
     fn: Callable[[Relation], Relation] = field(repr=False)
+    index: Index | None = field(default=None, repr=False)
 
     def transform(self, rel: Relation) -> Relation:
         if self.spec is not None:
@@ -99,10 +102,10 @@ class Transformer:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Transformer):
             return NotImplemented
-        return self.name == other.name and self.attributes == other.attributes
+        return self.name == other.name and self.attributes == other.attributes and self.index is other.index
 
     def __hash__(self) -> int:
-        return hash((self.name, self.attributes))
+        return hash((self.name, self.attributes, id(self.index)))
 
     def __repr__(self) -> str:
         return f"Transformer({self.name!r})"
@@ -308,6 +311,7 @@ def bm25_retriever(index: Index, params: Bm25Params = Bm25Params()) -> Transform
         attributes=(("k1", params.k1), ("b", params.b), ("num_results", params.num_results)),
         spec=spec({"qid", "query"}, _RETRIEVER_OUT),
         fn=_retrieval_fn(index, params, weighted=False),
+        index=index,
     )
 
 
@@ -319,6 +323,7 @@ def weighted_bm25_retriever(index: Index, params: Bm25Params = Bm25Params()) -> 
         attributes=(("k1", params.k1), ("b", params.b), ("num_results", params.num_results)),
         spec=spec({"qid", "query"}, _RETRIEVER_OUT),
         fn=_retrieval_fn(index, params, weighted=True),
+        index=index,
     )
 
 
@@ -358,6 +363,7 @@ def text_loader(index: Index) -> Transformer:
         attributes=(("index", str(index.path)),),
         spec=spec({"docno"}, {"docno", "text"}, passthrough=True),
         fn=lambda rel: join_on_docno(rel, index),
+        index=index,
     )
 
 
@@ -382,20 +388,25 @@ def lexical_rescorer(params: Bm25Params = Bm25Params()) -> Transformer:
             groups.setdefault(row[q], []).append(row)
         rows = []
         for cands in groups.values():
-            doc_tokens = [tokenize(c[x]) for c in cands]
-            n = len(cands)
-            lens = list(map(len, doc_tokens))
-            avgdl = sum(lens) / n
             query_tokens: dict[str, list[str]] = {}
             for query in map(itemgetter(t), cands):
                 if query not in query_tokens:
                     query_tokens[query] = tokenize(query)
+            terms = list(set(chain.from_iterable(query_tokens.values())))
+            # one candidate's tokens at a time: keep only its length and
+            # the count of each distinct query term in it
+            lens, counts = [], []
+            for text in map(itemgetter(x), cands):
+                toks = tokenize(text)
+                lens.append(len(toks))
+                counts.append(list(map(toks.count, terms)))
+            n = len(cands)
+            avgdl = sum(lens) / n
             # each distinct query term's part of every candidate's score,
             # 0.0 where it does not occur: all parts are positive, so the
             # zeros leave every fsum bit for bit as without them
             parts: dict[str, list[float]] = {}
-            for term in set(chain.from_iterable(query_tokens.values())):
-                tfs = list(map(methodcaller("count", term), doc_tokens))
+            for term, tfs in zip(terms, zip(*counts)):
                 df = n - tfs.count(0)
                 idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
                 parts[term] = [

@@ -1,6 +1,7 @@
 import json
 import shutil
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,9 @@ class TestLoadIndex:
             ("quick", {"doc_ids": [0, 5]}),  # n_docs is 5
             ("quick", {"doc_ids": [-1, 2]}),
             ("quick", {"doc_ids": {}, "df": 0}),
+            ("quick", {"positions": [-7, 0, 1]}),  # before d1's first token
+            ("quick", {"positions": [999, 0, 1]}),  # past d1's 4 tokens
+            ("quick", {"positions": [1, 0, 3]}),  # past d3's 3 tokens
         ],
     )
     def test_bad_postings_columns_are_corrupt(self, tmp_path, term, fields):
@@ -225,6 +229,18 @@ class TestLoadIndex:
         with pytest.raises(CorruptIndex) as err:
             load_index(out).postings("fox")
         assert "postings.jsonl" in str(err.value)
+
+    def test_doc_ids_share_one_int_per_document(self, tmp_path):
+        # CPython shares only the ints up to 256: past them each JSON-decoded
+        # id would be its own object
+        corpus = [(f"d{i}", f"common w{i % 7} w{i % 11}") for i in range(600)]
+        build_index(corpus, tmp_path / "ix")
+        ix = load_index(tmp_path / "ix")
+        doc_ids = [ix.columns(term)[0] for term in ix.terms()]
+        assert doc_ids[0] == tuple(range(600))  # "common"
+        values = set(chain.from_iterable(doc_ids))
+        assert len(values) == 600
+        assert len(set(map(id, chain.from_iterable(doc_ids)))) == len(values)
 
     def test_format_version_1_is_a_version_mismatch(self, tmp_path):
         out = tmp_path / "ix"

@@ -8,6 +8,7 @@ as ``float.hex``, which tells ``-0.0`` from ``0.0``), not within a tolerance.
 import math
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -219,3 +220,20 @@ def test_rescore_matches_per_candidate_loop():
         assert got == expected
         s = got.columns.index("score")
         assert [float.hex(row[s]) for row in got.rows] == [float.hex(row[s]) for row in expected.rows]
+
+
+def test_rescore_holds_one_candidates_tokens_at_a_time():
+    """2,000 candidates of 100 tokens each: about 14 MB if every token list lived at once."""
+    rng = random.Random(3)
+    words = [f"word{i}" for i in range(500)]
+    rows = [("q", "word1 word2 word3", f"d{i}", " ".join(rng.choices(words, k=100))) for i in range(2000)]
+    rel = Relation._trusted(("qid", "query", "docno", "text"), rows)
+    rescore = lexical_rescorer()
+    tracemalloc.start()
+    try:
+        out = rescore.transform(rel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 1000  # num_results
+    assert peak < 3_000_000

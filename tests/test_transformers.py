@@ -5,6 +5,7 @@ import pytest
 from flowrank.algebra import Leaf, execute, rr_fusion, then
 from flowrank.errors import DataError, EmptyQuery, MalformedWeightedQuery, MissingColumn, UnknownDocno
 from flowrank.frames import Relation
+from flowrank.index import load_index
 from flowrank.transformers import (
     Bm25Params,
     SdmParams,
@@ -159,6 +160,15 @@ class TestTextLoader:
         # {docno} repeats freely, but the output {docno, text} is an exact D frame
         with pytest.raises(DataError):
             text_loader(toy_index).transform(rel([{"docno": "d1"}, {"docno": "d1"}], ["docno"]))
+
+
+class TestEquality:
+    def test_bound_index_handle_decides_equality(self, toy_index_dir):
+        a, b = load_index(toy_index_dir), load_index(toy_index_dir)
+        for make in (bm25_retriever, weighted_bm25_retriever, text_loader):
+            assert make(a) == make(a) and hash(make(a)) == hash(make(a))
+            assert make(a) != make(b)
+            assert len({make(a), make(b)}) == 2
 
 
 class TestSdmRewriter:

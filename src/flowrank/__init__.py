@@ -23,10 +23,8 @@ from .algebra import (
 )
 from .errors import FlowrankError, MissingColumn, ValidationError
 from .frames import (
-    ColumnSpec,
     FrameKind,
     Relation,
-    Schema,
     classify_frame,
     format_trec_run,
     join_on_docno,

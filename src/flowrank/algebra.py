@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import DataError, FlowrankError, InvalidK, ValidationError, WeightLengthMismatch
-from .frames import Relation, rank_tuples, ranked, sort_and_rank
+from .frames import Relation, _unique, rank_tuples, ranked
 from .transformers import Transformer
 
 DEFAULT_RRF_K = 60.0
@@ -127,35 +128,40 @@ def _run(node: PipelineNode, rel: Relation, path: tuple[int, ...]) -> Relation:
                 rel = _run(child, rel, path + (i,))
             return rel
         if isinstance(node, Linear):
-            outputs = [_run(child, rel, path + (i,)) for i, child in enumerate(node.children)]
-            contributions = []
-            for weight, out in zip(node.weights, outputs):
-                q, d, s = _positions(out, "qid", "docno", "score")
-                contributions.append({(row[q], row[d]): weight * row[s] for row in out.rows})
-            return _fuse(outputs, contributions)
-        if isinstance(node, RRF):
-            outputs = [_run(child, rel, path + (i,)) for i, child in enumerate(node.children)]
-            contributions = []
-            for out in outputs:
-                if out.kind.base != "R":
-                    # an R frame already guarantees unique, non-null (qid, docno)
-                    # keys; check any other child output as one
-                    out = sort_and_rank(out)
-                # re-ranked, not read: a custom child may order tied scores otherwise
-                q, s, d = _positions(out, "qid", "score", "docno")
-                contributions.append(
-                    {(row[q], row[d]): 1.0 / (node.k + rank + 1) for row, rank in ranked(out.rows, q, s, d)}
-                )
-            return _fuse(outputs, contributions)
+            values = [lambda score, rank, w=w: w * score for w in node.weights]
+        elif isinstance(node, RRF):
+            values = [lambda score, rank: 1.0 / (node.k + rank + 1)] * len(node.children)
+        else:
+            raise TypeError(f"unknown pipeline node: {node!r}")
+        outputs = [_run(child, rel, path + (i,)) for i, child in enumerate(node.children)]
+        contributions = [
+            _contribution(out, value, path + (i,)) for i, (out, value) in enumerate(zip(outputs, values))
+        ]
+        return _fuse(outputs, contributions)
     except FlowrankError as exc:
         # the deepest node attaches first: a child's error keeps its own path
         exc.attach_path(path)
         raise
-    raise TypeError(f"unknown pipeline node: {node!r}")
 
 
-def _positions(rel: Relation, *names: str) -> tuple[int, ...]:
-    return tuple(rel.schema.index_of(name) for name in names)
+def _contribution(
+    out: Relation, value: Callable[[float, int], float], path: tuple[int, ...]
+) -> dict[tuple[str, str], float]:
+    """``value(score, rank)`` per ``(qid, docno)`` of one fusion child's output.
+
+    The child is ranked by the engine's rule, whatever order or ranks it
+    came with, and must hold each ``(qid, docno)`` at most once; an error
+    carries the child's *path*.
+    """
+    try:
+        q, s, d = map(out.columns.index, ("qid", "score", "docno"))
+        contribution = {(row[q], row[d]): value(row[s], rank) for row, rank in ranked(out.rows, q, s, d)}
+        if len(contribution) != len(out.rows):
+            _unique(list(zip(out.column("qid"), out.column("docno"))), "(qid, docno)")
+    except FlowrankError as exc:
+        exc.attach_path(path)
+        raise
+    return contribution
 
 
 def _fuse(outputs: list[Relation], contributions: list[dict]) -> Relation:
@@ -167,7 +173,7 @@ def _fuse(outputs: list[Relation], contributions: list[dict]) -> Relation:
     the result is independent of child order; a sum that overflows, or
     that adds ``inf`` to ``-inf``, raises :class:`DataError`.
     """
-    keep_query = all("query" in out.columns for out in outputs)
+    lead = ("qid", "query") if all("query" in out.columns for out in outputs) else ("qid",)
     parts: dict[tuple[str, str], list[float]] = {}
     for contrib in contributions:
         for key, value in contrib.items():
@@ -176,14 +182,9 @@ def _fuse(outputs: list[Relation], contributions: list[dict]) -> Relation:
         totals = list(map(math.fsum, parts.values()))
     except (OverflowError, ValueError) as exc:
         raise DataError(f"scores do not sum to a finite number ({exc})") from None
-    if not keep_query:
-        rows = [(qid, docno, total) for (qid, docno), total in zip(parts, totals)]
-        return Relation._trusted(*rank_tuples(("qid", "docno", "score"), rows))
-    query_for: dict[str, str] = {}
+    cells: dict[str, tuple] = {}  # qid -> its cells in *lead*
     for out in outputs:
-        q, t = _positions(out, "qid", "query")
-        for row in out.rows:
-            if row[q] not in query_for:
-                query_for[row[q]] = row[t]
-    rows = [(qid, query_for[qid], docno, total) for (qid, docno), total in zip(parts, totals)]
-    return Relation._trusted(*rank_tuples(("qid", "query", "docno", "score"), rows))
+        for row in zip(*map(out.column, lead)):
+            cells.setdefault(row[0], row)
+    rows = [cells[qid] + (docno, total) for (qid, docno), total in zip(parts, totals)]
+    return Relation._trusted(*rank_tuples(lead + ("docno", "score"), rows))

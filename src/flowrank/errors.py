@@ -37,7 +37,7 @@ class FlowrankError(Exception):
 
 
 class DataError(FlowrankError):
-    """A relation or schema violates a structural invariant."""
+    """A relation violates a structural invariant."""
 
 
 class MissingColumn(FlowrankError):

@@ -1,4 +1,4 @@
-"""Relational data model: column schemas, frame classification, relations.
+"""Relational data model: column types, frame classification, relations.
 
 A relation is an immutable ordered table flowing between transformers.  Its
 column-name set classifies it as a query (Q), document (D), result (R), or
@@ -23,9 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError, FormatError, MissingColumn, UnknownDocno
 
-COLUMN_TYPES = ("text", "float64", "int64", "float-vector")
-
-# Default types for the well-known data-model columns; anything else is text.
+# Types of the well-known data-model columns; any other column holds text.
 KNOWN_COLUMN_TYPES = {
     "qid": "text",
     "query": "text",
@@ -47,54 +45,6 @@ FRAME_REQUIREMENTS = (
     ("Q", frozenset({"qid", "query"})),
     ("D", frozenset({"docno", "text"})),
 )
-
-
-@dataclass(frozen=True)
-class ColumnSpec:
-    """A named, typed column."""
-
-    name: str
-    ctype: str
-
-    def __post_init__(self):
-        if not self.name:
-            raise DataError("column name must be non-empty")
-        if self.ctype not in COLUMN_TYPES:
-            raise DataError(f"unknown column type {self.ctype!r} for column {self.name!r}")
-
-
-@dataclass(frozen=True)
-class Schema:
-    """Ordered list of columns with unique names."""
-
-    columns: tuple[ColumnSpec, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
-        names = [c.name for c in self.columns]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise DataError(f"duplicate column names in schema: {dupes}")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
-
-    def index_of(self, name: str) -> int:
-        for i, c in enumerate(self.columns):
-            if c.name == name:
-                return i
-        raise KeyError(name)
-
-
-def column_spec(name: str) -> ColumnSpec:
-    """Column spec for a name, using the known type or text by default."""
-    return ColumnSpec(name, KNOWN_COLUMN_TYPES.get(name, "text"))
-
-
-def schema_for(names: Iterable[str]) -> Schema:
-    """Schema over the given names in the order supplied."""
-    return Schema(tuple(column_spec(n) for n in names))
 
 
 def canonical_columns(names: Iterable[str]) -> list[str]:
@@ -129,48 +79,56 @@ class FrameKind:
 
 
 def classify_frame(columns) -> FrameKind:
-    """Classify a schema (or iterable of column names) by its column-name set.
+    """Classify an iterable of column names by its name set.
 
     Returns the most specific kind whose required columns are all present
     (precedence R > A > Q > D); extra columns yield an extended kind, and no
     match yields the anonymous extended kind.
     """
-    if isinstance(columns, Schema):
-        names = set(columns.names)
-    else:
-        names = set(columns)
+    names = set(columns)
     for base, required in FRAME_REQUIREMENTS:
         if required <= names:
             return FrameKind(base, extended=bool(names - required))
     return FrameKind(None, extended=True)
 
 
-def _check_value(col: ColumnSpec, value, nullable: bool):
+def _check_names(columns: Iterable[str]) -> tuple[str, ...]:
+    columns = tuple(columns)
+    if "" in columns:
+        raise DataError("column name must be non-empty")
+    if len(set(columns)) != len(columns):
+        dupes = sorted({n for n in columns if columns.count(n) > 1})
+        raise DataError(f"duplicate column names: {dupes}")
+    return columns
+
+
+def _check_value(name: str, value, nullable: bool):
     if value is None:
         if not nullable:
-            raise DataError(f"column {col.name!r} is required by its frame kind and may not be null")
+            raise DataError(f"column {name!r} is required by its frame kind and may not be null")
         return None
-    if col.ctype == "text":
+    ctype = KNOWN_COLUMN_TYPES.get(name, "text")
+    if ctype == "text":
         if not isinstance(value, str):
-            raise DataError(f"column {col.name!r} expects text, got {type(value).__name__}")
+            raise DataError(f"column {name!r} expects text, got {type(value).__name__}")
         return value
-    if col.ctype == "float64":
+    if ctype == "float64":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise DataError(f"column {col.name!r} expects float64, got {type(value).__name__}")
+            raise DataError(f"column {name!r} expects float64, got {type(value).__name__}")
         return float(value)
-    if col.ctype == "int64":
+    if ctype == "int64":
         if isinstance(value, bool) or not isinstance(value, int):
-            raise DataError(f"column {col.name!r} expects int64, got {type(value).__name__}")
+            raise DataError(f"column {name!r} expects int64, got {type(value).__name__}")
         return value
     # float-vector
     if isinstance(value, str) or not isinstance(value, Sequence):
-        raise DataError(f"column {col.name!r} expects a float vector, got {type(value).__name__}")
+        raise DataError(f"column {name!r} expects a float vector, got {type(value).__name__}")
     return tuple(float(v) for v in value)
 
 
 @dataclass(frozen=True)
 class Relation:
-    """Immutable ordered rows under a schema.
+    """Immutable ordered rows under uniquely named columns.
 
     Frame invariants are enforced at construction: unique ``qid`` for Q/A
     frames, unique ``docno`` for D frames, unique ``(qid, docno)`` for R
@@ -178,25 +136,21 @@ class Relation:
     within each ``qid`` group whenever those columns travel together.
     """
 
-    schema: Schema
+    columns: tuple[str, ...]
     rows: tuple[tuple, ...] = field(default=())
 
     def __post_init__(self):
-        names = self.schema.names
+        names = _check_names(self.columns)
+        object.__setattr__(self, "columns", names)
         kind = classify_frame(names)
         required = _required(kind)
         normalized = []
         for r, row in enumerate(self.rows):
             row = tuple(row)
             if len(row) != len(names):
-                raise DataError(
-                    f"row {r} has {len(row)} values but the schema has {len(names)} columns"
-                )
+                raise DataError(f"row {r} has {len(row)} values but there are {len(names)} columns")
             normalized.append(
-                tuple(
-                    _check_value(col, v, nullable=col.name not in required)
-                    for col, v in zip(self.schema.columns, row)
-                )
+                tuple(_check_value(name, v, nullable=name not in required) for name, v in zip(names, row))
             )
         object.__setattr__(self, "rows", tuple(normalized))
         self._check_keys(kind)
@@ -212,11 +166,11 @@ class Relation:
         and ranks are checked as in public construction.
         """
         rel = object.__new__(cls)
-        object.__setattr__(rel, "schema", schema_for(columns))
+        object.__setattr__(rel, "columns", _check_names(columns))
         object.__setattr__(rel, "rows", tuple(rows))
-        kind = classify_frame(columns)
+        kind = classify_frame(rel.columns)
         for name in _required(kind):
-            if None in map(operator.itemgetter(rel.schema.index_of(name)), rel.rows):
+            if None in map(operator.itemgetter(rel.columns.index(name)), rel.rows):
                 raise DataError(f"column {name!r} is required by its frame kind and may not be null")
         rel._check_keys(kind)
         return rel
@@ -224,7 +178,7 @@ class Relation:
     def _check_keys(self, kind: FrameKind):
         # primary keys bind the exact frame kinds; extensions such as a
         # candidate table {qid, query, docno, text} legitimately repeat qids
-        names = set(self.schema.names)
+        names = set(self.columns)
         if kind == FrameKind("Q") or kind == FrameKind("A"):
             _unique(self.column("qid"), "qid")
         elif kind == FrameKind("D"):
@@ -236,9 +190,7 @@ class Relation:
 
     def _check_ranks(self):
         scores = self.column("score")
-        if None in scores or any(map(math.isnan, scores)):
-            qid, score = next((q, s) for q, s in zip(self.column("qid"), scores) if s is None or s != s)
-            raise DataError(f"score {score} for qid {qid!r} cannot be ranked")
+        _check_scores(self.column("qid"), scores)
         groups: dict[str, list[tuple[int, float]]] = {}
         for qid, score, rank in zip(self.column("qid"), scores, self.column("rank")):
             groups.setdefault(qid, []).append((rank, score))
@@ -251,22 +203,17 @@ class Relation:
                 raise DataError(f"scores for qid {qid!r} increase with rank")
 
     @property
-    def columns(self) -> tuple[str, ...]:
-        return self.schema.names
-
-    @property
     def kind(self) -> FrameKind:
-        return classify_frame(self.schema)
+        return classify_frame(self.columns)
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def column(self, name: str) -> tuple:
-        return tuple(map(operator.itemgetter(self.schema.index_of(name)), self.rows))
+        return tuple(map(operator.itemgetter(self.columns.index(name)), self.rows))
 
     def to_dicts(self) -> list[dict]:
-        names = self.schema.names
-        return [dict(zip(names, row)) for row in self.rows]
+        return [dict(zip(self.columns, row)) for row in self.rows]
 
     @staticmethod
     def from_dicts(rows: Iterable[Mapping], columns: Iterable[str] | None = None) -> "Relation":
@@ -274,9 +221,8 @@ class Relation:
         if columns is None:
             seen = {k for row in rows for k in row}
             columns = canonical_columns(seen)
-        columns = list(columns)
-        schema = schema_for(columns)
-        return Relation(schema, tuple(tuple(row.get(c) for c in columns) for row in rows))
+        columns = tuple(columns)
+        return Relation(columns, tuple(tuple(row.get(c) for c in columns) for row in rows))
 
 
 def _required(kind: FrameKind) -> frozenset[str]:
@@ -297,14 +243,24 @@ def _unique(values: Sequence, label: str):
         seen.add(v)
 
 
+def _check_scores(qids: Iterable, scores: Sequence) -> None:
+    if None in scores or any(map(math.isnan, scores)):
+        qid, score = next((q, s) for q, s in zip(qids, scores) if s is None or s != s)
+        raise DataError(f"score {score} for qid {qid!r} cannot be ranked")
+
+
 def ranked(rows: Sequence[tuple], qid: int, score: int, docno: int) -> Iterator[tuple[tuple, int]]:
     """``(row, rank)`` pairs ordered by (qid asc, score desc, docno asc).
 
     This is the single ranking rule used everywhere a result frame is
     produced; ties in score break by ascending docno for determinism, and
     ranks count from 0 within each qid.  *qid*, *score* and *docno* are
-    positions in each row tuple.
+    positions in each row tuple.  A null qid or docno, or a null or NaN
+    score, raises :class:`DataError` before anything is sorted.
     """
+    if None in map(operator.itemgetter(qid), rows) or None in map(operator.itemgetter(docno), rows):
+        raise DataError("a row with a null qid or docno cannot be ranked")
+    _check_scores(map(operator.itemgetter(qid), rows), tuple(map(operator.itemgetter(score), rows)))
     ordered = sorted(rows, key=lambda r: (r[qid], -r[score], r[docno]))
     for _, group in itertools.groupby(ordered, key=operator.itemgetter(qid)):
         for rank, row in enumerate(group):
@@ -326,8 +282,7 @@ def sort_and_rank(rel: Relation) -> Relation:
     needed = {"qid", "docno", "score"}
     if not needed <= present:
         raise MissingColumn(needed - present, needed, present, who="sort_and_rank")
-    columns, rows = rank_tuples(rel.columns, rel.rows)
-    return Relation(schema_for(columns), tuple(rows))
+    return Relation(*rank_tuples(rel.columns, rel.rows))
 
 
 def join_on_docno(left: Relation, docs) -> Relation:
@@ -384,5 +339,5 @@ def format_trec_run(rel: Relation, tag: str = "flowrank") -> str:
     needed = {"qid", "docno", "score", "rank"}
     if not needed <= present:
         raise MissingColumn(needed - present, needed, present, who="format_trec_run")
-    q, d, r, s = (rel.schema.index_of(c) for c in ("qid", "docno", "rank", "score"))
+    q, d, r, s = map(rel.columns.index, ("qid", "docno", "rank", "score"))
     return "".join(f"{row[q]} Q0 {row[d]} {row[r]} {row[s]:.6f} {tag}\n" for row in rel.rows)

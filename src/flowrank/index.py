@@ -23,7 +23,7 @@ import os
 import re
 import threading
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count
+from itertools import accumulate, chain, count
 from operator import ge, itemgetter, lt
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -178,16 +178,16 @@ def build_index(corpus: Iterable[tuple[str, str]], out_dir) -> IndexStats:
     return stats
 
 
-def _read_lines(file: Path) -> list[str]:
-    # split on "\n" only: str.splitlines would also break inside stored text
-    # at characters json.dumps leaves unescaped, such as U+0085 and U+2028
+def _read_lines(file: Path) -> Iterator[str]:
+    """The lines of *file*, read one at a time, without their "\n"."""
+    # a line ends only at "\n", as the build writes it; U+0085 and U+2028,
+    # which json.dumps leaves unescaped in stored text, stay inside their line
     try:
-        lines = file.read_text(encoding="utf-8").split("\n")
+        with open(file, encoding="utf-8", newline="\n") as fh:
+            for line in fh:
+                yield line.removesuffix("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise CorruptIndex(str(file), str(exc)) from exc
-    if lines[-1] == "":
-        lines.pop()
-    return lines
 
 
 # the exceptions that malformed JSON values raise when unpacked and converted
@@ -237,12 +237,13 @@ def _columns_fault(df, cf, doc_ids, tfs, positions, doc_lens: tuple[int, ...]) -
     n_docs = len(doc_lens)
     if not (0 <= doc_ids[0] and doc_ids[-1] < n_docs and all(map(lt, doc_ids, doc_ids[1:]))):
         return f"doc_ids out of range [0, {n_docs}) or not ascending"
-    last = list(accumulate(tfs, initial=-1))[1:]  # the index of each document's last position
-    # positions may fall or repeat only after a document's last one
-    if not set(compress(count(), map(ge, positions, positions[1:]))).issubset(last):
+    lasts = _pick(positions, list(accumulate(tfs, initial=-1))[1:])  # each document's last position
+    firsts = _pick(positions, list(accumulate(tfs[:-1])))  # each later document's first position
+    # positions may fall or repeat only from one document's last to the next one's first
+    if sum(map(ge, positions, positions[1:])) != sum(map(ge, lasts, firsts)):
         return "positions not ascending within a document"
     # so a document's first position is its least and its last its greatest
-    if min(positions) < 0 or any(map(ge, _pick(positions, last), _pick(doc_lens, doc_ids))):
+    if min(positions) < 0 or any(map(ge, lasts, _pick(doc_lens, doc_ids))):
         return "positions outside [0, doc_len) of their document"
     return None
 

@@ -145,12 +145,19 @@ def input_columns(node: PipelineNode) -> list[frozenset[str]]:
     child's accepted sets filtered by whole-chain propagation; for fusion
     nodes, the children's satisfying sets filtered the same way.
     """
-    candidates = _candidate_inputs(node)
-    out: list[frozenset[str]] = []
-    for cand in candidates:
-        if cand not in out and validate(node, cand).ok:
-            out.append(cand)
-    return out
+    return list(_outputs_for(node))
+
+
+def _outputs_for(node: PipelineNode) -> dict[frozenset[str], frozenset[str]]:
+    """Each satisfying candidate input -> its outputs, from one flow per candidate."""
+    outputs_for: dict[frozenset[str], frozenset[str]] = {}
+    for cand in _candidate_inputs(node):
+        if cand not in outputs_for:
+            try:
+                outputs_for[cand] = flow(node, cand)[()].outputs
+            except NotSatisfied:
+                pass
+    return outputs_for
 
 
 def _candidate_inputs(node: PipelineNode) -> list[frozenset[str]]:
@@ -198,7 +205,5 @@ def attributes(t: Transformer) -> list[tuple[str, str]]:
 
 
 def io_report(node: PipelineNode) -> IoReport:
-    report = IoReport(accepted_inputs=input_columns(node))
-    for accepted in report.accepted_inputs:
-        report.outputs_for[accepted] = output_columns(node, accepted)
-    return report
+    outputs_for = _outputs_for(node)
+    return IoReport(list(outputs_for), outputs_for)

@@ -118,7 +118,7 @@ def _require_values(rel: Relation, who: str, *names: str) -> None:
     ``text``, so validation passes them; the stage that reads one cannot.
     """
     for name in names:
-        if None in map(itemgetter(rel.schema.index_of(name)), rel.rows):
+        if None in map(itemgetter(rel.columns.index(name)), rel.rows):
             raise DataError(f"{who}: column {name!r} holds a null")
 
 
@@ -284,7 +284,7 @@ def _retrieval_fn(index: Index, params: Bm25Params, weighted: bool):
         _require_values(rel, "wbm25" if weighted else "bm25", "query")
         # retrievers re-derive state: one retrieval per distinct qid, taking
         # the first query seen for it, regardless of how many rows carry it
-        q, t = rel.schema.index_of("qid"), rel.schema.index_of("query")
+        q, t = map(rel.columns.index, ("qid", "query"))
         queries: dict[str, str] = {}
         for row in rel.rows:
             queries.setdefault(row[q], row[t])
@@ -335,7 +335,7 @@ def sdm_rewriter(params: SdmParams = SdmParams()) -> Transformer:
 
     def fn(rel: Relation) -> Relation:
         _require_values(rel, "sdm", "query")
-        q, t = rel.schema.index_of("qid"), rel.schema.index_of("query")
+        q, t = map(rel.columns.index, ("qid", "query"))
         rows = []
         for row in rel.rows:
             tokens = tokenize(row[t])
@@ -444,12 +444,12 @@ def first_sentence(text: str) -> str:
     return text[: cut + 1] if cut < len(text) else text
 
 
-def extractive_answerer(max_passages: int = 3) -> Transformer:
+def extractive_answerer() -> Transformer:
     """Answer each query with the first sentence of its top-ranked document."""
 
     def fn(rel: Relation) -> Relation:
         _require_values(rel, "answer", "text")
-        q, r, x = (rel.schema.index_of(c) for c in ("qid", "rank", "text"))
+        q, r, x = map(rel.columns.index, ("qid", "rank", "text"))
         best: dict[str, str] = {}
         for row in rel.rows:
             if row[r] == 0:
@@ -459,7 +459,7 @@ def extractive_answerer(max_passages: int = 3) -> Transformer:
     return Transformer(
         name="answer",
         description="extract an answer as the first sentence of the top-ranked document",
-        attributes=(("max_passages", max_passages),),
+        attributes=(),
         spec=spec({"qid", "query", "docno", "score", "rank", "text"}, {"qid", "qanswer"}),
         fn=fn,
     )
@@ -473,5 +473,5 @@ def registry(index: Index) -> dict:
         "sdm": lambda **kw: sdm_rewriter(SdmParams(**kw)),
         "text_loader": lambda **kw: text_loader(index, **kw),
         "rescore": lambda **kw: lexical_rescorer(Bm25Params(**kw)),
-        "answer": lambda **kw: extractive_answerer(**kw),
+        "answer": extractive_answerer,
     }

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from flowrank.algebra import Leaf, Linear, RRF, Then
-from flowrank.frames import Relation, canonical_columns, rank_tuples, schema_for, sort_and_rank
+from flowrank.frames import Relation, canonical_columns, rank_tuples, sort_and_rank
 from flowrank.index import build_index, load_index
 from flowrank.transformers import Transformer, TransformerSpec, registry, spec
 
@@ -231,7 +231,7 @@ def synthesize_relation(columns, rng: random.Random) -> Relation:
     if {"qid", "docno", "score", "rank"} <= columns:
         _, tuples = rank_tuples(ordered, tuples)
     # without a docno there is one row per qid, and fill() set every rank to 0
-    return Relation(schema_for(ordered), tuple(tuples))
+    return Relation(ordered, tuple(tuples))
 
 
 def random_tree(pool: list[Transformer], rng: random.Random, depth: int = 4):

@@ -168,6 +168,26 @@ class TestRRF:
         assert "query" not in out.columns
 
 
+@pytest.mark.parametrize("fuse", [lambda cs: linear(cs, [1.0, 1.0]), rr_fusion], ids=["linear", "rrf"])
+class TestFusionChildren:
+    @pytest.mark.parametrize(
+        "column, value", [("qid", None), ("docno", None), ("score", None), ("score", math.nan)]
+    )
+    def test_unrankable_row_fails_at_the_child(self, fuse, column, value):
+        bad = q1_run(("d1", 2.0), ("d2", 1.0))
+        bad[1][column] = value
+        node = fuse([run_of("a", q1_run(("d1", 1.0))), run_of("bad", bad)])
+        with pytest.raises(DataError) as err:
+            execute(node, EMPTY_INPUT)
+        assert err.value.path == (1,)
+
+    def test_repeated_key_fails_at_the_child(self, fuse):
+        node = fuse([run_of("a", q1_run(("d1", 1.0))), run_of("bad", q1_run(("d1", 2.0), ("d1", 1.0)))])
+        with pytest.raises(DataError, match=r"duplicate \(qid, docno\) value \('q1', 'd1'\)") as err:
+            execute(node, EMPTY_INPUT)
+        assert err.value.path == (1,)
+
+
 class TestExecute:
     def test_leaf_equals_transform(self, toy_index, qframe):
         t = bm25_retriever(toy_index)

@@ -5,9 +5,7 @@ import pytest
 from flowrank.errors import DataError, FormatError, MissingColumn, UnknownDocno
 from flowrank.frames import (
     Relation,
-    Schema,
     classify_frame,
-    column_spec,
     format_trec_run,
     join_on_docno,
     read_topics,
@@ -49,9 +47,13 @@ class TestClassifyFrame:
 
 class TestRelationInvariants:
     def test_row_width_checked(self):
-        schema = Schema((column_spec("qid"), column_spec("query")))
         with pytest.raises(DataError):
-            Relation(schema, (("q1",),))
+            Relation(("qid", "query"), (("q1",),))
+
+    @pytest.mark.parametrize("columns", [("qid", "qid"), ("qid", "")])
+    def test_column_names_unique_and_non_empty(self, columns):
+        with pytest.raises(DataError):
+            Relation(columns, ())
 
     def test_duplicate_qid_in_query_frame(self):
         with pytest.raises(DataError):
@@ -141,6 +143,15 @@ class TestSortAndRank:
         ]
         out = sort_and_rank(rel(rows, ["qid", "docno", "score"]))
         assert [(r["docno"], r["rank"]) for r in out.to_dicts()] == [("d2", 0), ("d3", 1), ("d1", 2)]
+
+    @pytest.mark.parametrize(
+        "column, value", [("qid", None), ("docno", None), ("score", None), ("score", float("nan"))]
+    )
+    def test_unrankable_row_rejected(self, column, value):
+        rows = [{"qid": "q1", "docno": "d1", "score": 1.0}, {"qid": "q1", "docno": "d2", "score": 2.0}]
+        rows[1][column] = value
+        with pytest.raises(DataError, match="cannot be ranked"):
+            sort_and_rank(rel(rows, ["qid", "docno", "score"]))
 
     def test_missing_column(self):
         with pytest.raises(MissingColumn):

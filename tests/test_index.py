@@ -181,6 +181,18 @@ class TestLoadIndex:
             load_index(out).postings("fox")
         assert name in str(err.value)
 
+    @pytest.mark.parametrize("name", ["docs.jsonl", "postings.jsonl"])
+    def test_bad_bytes_deep_in_a_file_are_corrupt(self, tmp_path, name):
+        # files are read line by line, so this decode error surfaces mid-iteration
+        out = tmp_path / "ix"
+        build_index([(f"d{i}", f"common w{i}") for i in range(2000)], out)
+        data = (out / name).read_bytes()
+        assert len(data) > 64 * 1024
+        (out / name).write_bytes(data[:-10] + b"\xff" + data[-9:])
+        with pytest.raises(CorruptIndex) as err:
+            load_index(out).postings("common")
+        assert name in str(err.value)
+
     def test_postings_line_is_columnar(self, tmp_path):
         out = tmp_path / "ix"
         build_index(TOY5, out)  # quick: once in d1 (doc_id 0), twice in d3 (doc_id 2)

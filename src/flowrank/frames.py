@@ -8,8 +8,9 @@ non-increasing score), so any relation the framework hands out is valid.
 
 Public construction also checks the type of every cell.  The engine's own
 stages build their outputs from cells of already-checked relations plus
-values they compute, through :meth:`Relation._trusted`, which skips only
-that per-cell type pass.
+values they compute, through :meth:`Relation._trusted`, which skips that
+per-cell type pass and the rank check: the engine ranks only through
+:func:`rank_tuples`.
 """
 
 from __future__ import annotations
@@ -154,6 +155,8 @@ class Relation:
             )
         object.__setattr__(self, "rows", tuple(normalized))
         self._check_keys(kind)
+        if {"qid", "score", "rank"} <= set(names):
+            self._check_ranks()
 
     @classmethod
     def _trusted(cls, columns: Sequence[str], rows: Iterable[tuple]) -> "Relation":
@@ -161,9 +164,12 @@ class Relation:
 
         Cells copied from checked relations keep their column's type, and
         the engine computes only well-typed values, so the per-cell type pass
-        is skipped.  A stage may still change the frame kind and so gain
-        required columns and a primary key: nulls in required columns, keys
-        and ranks are checked as in public construction.
+        is skipped.  Ranks are not checked either: every engine stage either
+        writes them through :func:`rank_tuples`, keeping a prefix of each
+        qid's ranks at most, or copies them unchanged from a checked
+        relation.  A stage may still change the frame kind and so gain
+        required columns and a primary key: nulls in required columns and
+        keys are checked as in public construction.
         """
         rel = object.__new__(cls)
         object.__setattr__(rel, "columns", _check_names(columns))
@@ -185,8 +191,6 @@ class Relation:
             _unique(self.column("docno"), "docno")
         elif kind.base == "R" and {"qid", "docno"} <= names:
             _unique(list(zip(self.column("qid"), self.column("docno"))), "(qid, docno)")
-        if {"qid", "score", "rank"} <= names:
-            self._check_ranks()
 
     def _check_ranks(self):
         scores = self.column("score")

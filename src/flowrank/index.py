@@ -194,11 +194,11 @@ def _read_lines(file: Path) -> Iterator[str]:
 _BAD_VALUE = (ValueError, KeyError, TypeError, OverflowError)
 
 
-def _read_docs(file: Path, n_docs: int) -> tuple[tuple[str, ...], tuple[int, ...], dict[str, str]]:
-    """Docnos and lengths indexed by doc_id, and docno -> text; checked."""
-    docnos: list[str] = []
+def _read_docs(file: Path, n_docs: int) -> tuple[dict[str, int], tuple[str, ...], tuple[int, ...]]:
+    """Docno -> doc_id, and texts and lengths indexed by doc_id; checked."""
+    ids: dict[str, int] = {}
+    texts: list[str] = []
     doc_lens: list[int] = []
-    texts: dict[str, str] = {}
     for lineno, line in enumerate(_read_lines(file), start=1):
         try:
             obj = json.loads(line)
@@ -206,16 +206,16 @@ def _read_docs(file: Path, n_docs: int) -> tuple[tuple[str, ...], tuple[int, ...
             doc_len, text = int(obj["doc_len"]), str(obj["text"])
         except _BAD_VALUE as exc:
             raise CorruptIndex(str(file), f"line {lineno}: {exc}") from exc
-        if doc_id != len(docnos):
+        if doc_id != len(ids):
             raise CorruptIndex(str(file), f"line {lineno}: doc_id {doc_id} is not dense")
-        if docno in texts:
+        if docno in ids:
             raise CorruptIndex(str(file), f"line {lineno}: duplicate docno {docno!r}")
-        docnos.append(docno)
+        ids[docno] = doc_id
+        texts.append(text)
         doc_lens.append(doc_len)
-        texts[docno] = text
-    if len(docnos) != n_docs:
-        raise CorruptIndex(str(file), f"{len(docnos)} documents but meta says {n_docs}")
-    return tuple(docnos), tuple(doc_lens), texts
+    if len(ids) != n_docs:
+        raise CorruptIndex(str(file), f"{len(ids)} documents but meta says {n_docs}")
+    return ids, tuple(texts), tuple(doc_lens)
 
 
 def _columns_fault(df, cf, doc_ids, tfs, positions, doc_lens: tuple[int, ...]) -> str | None:
@@ -256,13 +256,13 @@ def _pick(seq, indices: list[int]) -> tuple:
     return tuple(map(seq.__getitem__, indices))
 
 
-def _read_postings(file: Path, doc_lens: tuple[int, ...]) -> dict[str, Columns]:
+def _read_postings(file: Path, ids: tuple[int, ...], doc_lens: tuple[int, ...]) -> dict[str, Columns]:
     """Term -> ``(doc_ids, tfs, positions)`` columns; checked against *doc_lens*.
 
     Every term's ``doc_ids`` point at the same int object per document,
-    one of ``range(n_docs)``, instead of at one JSON-decoded int per posting.
+    the one in *ids* (``ids[i] == i``), instead of at one JSON-decoded int
+    per posting.
     """
-    ids = tuple(range(len(doc_lens)))
     table = {}
     for lineno, line in enumerate(_read_lines(file), start=1):
         try:
@@ -286,8 +286,9 @@ class Index:
     in ``meta.json`` against the documents, in one load
     under one lock (see :attr:`data_loaded`), and keeps them as plain data:
     documents as columns indexed by doc_id (:meth:`docnos`,
-    :meth:`doc_lens`) plus a docno-to-text map, and each term's postings as
-    the columns ``(doc_ids, tfs, positions)`` (:meth:`columns`).
+    :meth:`doc_lens` and the texts) plus one docno-to-doc_id map, and each
+    term's postings as the columns ``(doc_ids, tfs, positions)``
+    (:meth:`columns`).
     """
 
     def __init__(self, path):
@@ -309,9 +310,10 @@ class Index:
             )
         except _BAD_VALUE as exc:
             raise CorruptIndex(str(meta_file), f"bad stats fields: {exc}") from exc
+        self._ids: dict[str, int] = {}
         self._docnos: tuple[str, ...] = ()
+        self._texts: tuple[str, ...] = ()
         self._doc_lens: tuple[int, ...] = ()
-        self._texts: dict[str, str] = {}
         self._postings: dict[str, Columns] | None = None
         self._load_lock = threading.Lock()
 
@@ -336,10 +338,10 @@ class Index:
             return
         with self._load_lock:
             if self._postings is None:
-                docs = _read_docs(self.path / "docs.jsonl", self._stats.n_docs)
-                self._check_stats(docs[1])
-                table = _read_postings(self.path / "postings.jsonl", docs[1])
-                self._docnos, self._doc_lens, self._texts = docs
+                ids, texts, doc_lens = _read_docs(self.path / "docs.jsonl", self._stats.n_docs)
+                self._check_stats(doc_lens)
+                table = _read_postings(self.path / "postings.jsonl", tuple(ids.values()), doc_lens)
+                self._ids, self._docnos, self._texts, self._doc_lens = ids, tuple(ids), texts, doc_lens
                 # assigned last: the unlocked check above reads it
                 self._postings = table
 
@@ -397,16 +399,28 @@ class Index:
     def text(self, docno: str) -> str:
         self._ensure_loaded()
         try:
-            return self._texts[docno]
+            return self._texts[self._ids[docno]]
         except KeyError:
             raise UnknownDocno(docno) from None
 
     def __contains__(self, docno: str) -> bool:
         self._ensure_loaded()
-        return docno in self._texts
+        return docno in self._ids
 
     def __getitem__(self, docno: str) -> str:
         return self.text(docno)
+
+    def stored_ids(self, docnos: Iterable[str], texts: Iterable[str]) -> list[int | None]:
+        """Per pair, the doc_id of *docno* if *text* is the very string this
+        handle stored for it (``is``, not ``==``), else None.
+
+        Never loads the data: before the first access no text can have come
+        from this handle, and every pair gets None.
+        """
+        if not self.data_loaded:
+            return [None for _ in texts]
+        stored, get = self._texts, self._ids.get
+        return [None if i is None or stored[i] is not text else i for i, text in zip(map(get, docnos), texts)]
 
 
 def load_index(path) -> Index:

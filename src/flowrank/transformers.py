@@ -367,13 +367,20 @@ def text_loader(index: Index) -> Transformer:
     )
 
 
-def lexical_rescorer(params: Bm25Params = Bm25Params()) -> Transformer:
-    """Re-score (query, text) candidates per qid; a pure text scorer.
+def lexical_rescorer(params: Bm25Params = Bm25Params(), index: Index | None = None) -> Transformer:
+    """Re-score (query, text) candidates per qid; a text scorer.
 
     Statistics (document frequencies, average length, collection size) come
-    from the candidate set of each qid alone, so no index handle is needed:
-    the transformer sees exactly what a neural re-ranker would see.  Each
-    qid keeps its ``num_results`` best-ranked candidates.
+    from the candidate set of each qid alone: the transformer sees exactly
+    what a neural re-ranker would see.  Each qid keeps its ``num_results``
+    best-ranked candidates.
+
+    With an *index*, a candidate whose ``text`` is the very string object
+    that index stored for its docno (``is``, not ``==``: text the index's
+    ``text_loader`` attached) takes its length and term counts from the
+    index's document lengths and postings instead of tokenizing the text.
+    Any other candidate is tokenized.  Both give the same counts, so the
+    scores are the same bit for bit.
     """
 
     def fn(rel: Relation) -> Relation:
@@ -381,7 +388,7 @@ def lexical_rescorer(params: Bm25Params = Bm25Params()) -> Transformer:
         columns = list(rel.columns)
         columns += [extra for extra in ("score", "rank") if extra not in columns]
         pad = (None,) * (len(columns) - len(rel.columns))
-        q, t, x, s = (columns.index(c) for c in ("qid", "query", "text", "score"))
+        q, t, d, x, s = (columns.index(c) for c in ("qid", "query", "docno", "text", "score"))
         k1, b = params.k1, params.b
         groups: dict[str, list[tuple]] = {}
         for row in rel.rows:
@@ -393,14 +400,23 @@ def lexical_rescorer(params: Bm25Params = Bm25Params()) -> Transformer:
                 if query not in query_tokens:
                     query_tokens[query] = tokenize(query)
             terms = list(set(chain.from_iterable(query_tokens.values())))
-            # one candidate's tokens at a time: keep only its length and
-            # the count of each distinct query term in it
-            lens, counts = [], []
-            for text in map(itemgetter(x), cands):
-                toks = tokenize(text)
-                lens.append(len(toks))
-                counts.append(list(map(toks.count, terms)))
             n = len(cands)
+            texts = list(map(itemgetter(x), cands))
+            ids = [None] * n if index is None else index.stored_ids(map(itemgetter(d), cands), texts)
+            if ids.count(None) < n:
+                doc_lens = index.doc_lens()
+                tf_gets = [dict(zip(*index.columns(term)[:2])).get for term in terms]
+            # one candidate at a time, tokenizing only text the index did
+            # not store: keep its length and the count of each query term
+            lens, counts = [], []
+            for text, i in zip(texts, ids):
+                if i is None:
+                    toks = tokenize(text)
+                    lens.append(len(toks))
+                    counts.append(list(map(toks.count, terms)))
+                else:
+                    lens.append(doc_lens[i])
+                    counts.append([get(i, 0) for get in tf_gets])
             avgdl = sum(lens) / n
             # each distinct query term's part of every candidate's score,
             # 0.0 where it does not occur: all parts are positive, so the
@@ -431,6 +447,7 @@ def lexical_rescorer(params: Bm25Params = Bm25Params()) -> Transformer:
         attributes=(("k1", params.k1), ("b", params.b), ("num_results", params.num_results)),
         spec=spec({"qid", "query", "docno", "text"}, {"qid", "query", "docno", "text", "score", "rank"}, passthrough=True),
         fn=fn,
+        index=index,
     )
 
 
@@ -472,6 +489,6 @@ def registry(index: Index) -> dict:
         "wbm25": lambda **kw: weighted_bm25_retriever(index, Bm25Params(**kw)),
         "sdm": lambda **kw: sdm_rewriter(SdmParams(**kw)),
         "text_loader": lambda **kw: text_loader(index, **kw),
-        "rescore": lambda **kw: lexical_rescorer(Bm25Params(**kw)),
+        "rescore": lambda **kw: lexical_rescorer(Bm25Params(**kw), index),
         "answer": extractive_answerer,
     }

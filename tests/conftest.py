@@ -9,7 +9,7 @@ import pytest
 
 from flowrank.algebra import Leaf, Linear, RRF, Then
 from flowrank.frames import Relation, canonical_columns, rank_tuples, sort_and_rank
-from flowrank.index import build_index, load_index
+from flowrank.index import build_index, load_index, tokenize
 from flowrank.transformers import Transformer, TransformerSpec, registry, spec
 
 TOY5 = [
@@ -47,6 +47,21 @@ def overflow_index(tmp_path_factory):
 @pytest.fixture(scope="session")
 def toy_registry(toy_index):
     return registry(toy_index)
+
+
+@pytest.fixture()
+def tokenized(monkeypatch):
+    """The texts that transformers pass to ``tokenize``, in call order."""
+    import flowrank.transformers
+
+    texts = []
+
+    def counting(text):
+        texts.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(flowrank.transformers, "tokenize", counting)
+    return texts
 
 
 FIGURE1_EXPR = "rrf(bm25, sdm >> wbm25) >> text_loader >> rescore >> answer"

@@ -15,8 +15,10 @@ After a deliberate ranking or schematic change, regenerate the files with::
 
 from __future__ import annotations
 
+import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -132,6 +134,36 @@ def test_schematics_match_goldens(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, text in produce_schematics().items():
         assert text == (GOLDENS / name).read_text(encoding="utf-8"), name
+
+
+_PRODUCE = """
+import json, sys
+from pathlib import Path
+import test_goldens
+files = {**test_goldens.produce(Path("index")), **test_goldens.produce_schematics()}
+sys.stdout.write(json.dumps(files, sort_keys=True))
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """The golden producers give the same bytes under two string hash seeds.
+
+    ``rescore`` walks each qid's query terms in the order of a set of
+    strings, and reads the index once per term in that order.
+    """
+    import flowrank
+
+    path = os.pathsep.join([str(Path(flowrank.__file__).parents[1]), str(Path(__file__).parent)])
+    outputs = []
+    for seed in ("0", "12345"):
+        cwd = tmp_path / seed
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        run = subprocess.run([sys.executable, "-c", _PRODUCE], cwd=cwd, env=env, capture_output=True, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    files = json.loads(outputs[0])
+    assert files == {name: (GOLDENS / name).read_text(encoding="utf-8") for name in files}
 
 
 if __name__ == "__main__":

@@ -11,12 +11,15 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowrank.algebra import execute
+from flowrank.dsl import elaborate, parse
 from flowrank.frames import Relation, rank_tuples
 from flowrank.index import _TOKEN, build_index, count_adjacent, load_index, tokenize
-from flowrank.transformers import Bm25Params, _score_groups, lexical_rescorer
+from flowrank.transformers import Bm25Params, _score_groups, lexical_rescorer, registry
 
 
 def oracle_tokenize(text):
@@ -237,3 +240,71 @@ def test_rescore_holds_one_candidates_tokens_at_a_time():
         tracemalloc.stop()
     assert len(out) == 1000  # num_results
     assert peak < 3_000_000
+
+
+# ---------------------------------------------------------------------------
+# rescore bound to the index its text came from
+# ---------------------------------------------------------------------------
+
+INDEX_WORDS = ["fox", "Fox!", "dog", "the", "café", "Kelvin", "kelvin", "x_y", "42", "lazy"]
+
+
+@pytest.fixture(scope="module")
+def word_index(tmp_path_factory):
+    """Sixty documents over INDEX_WORDS, some sharing their text, some empty."""
+    rng = random.Random(11)
+    corpus = []
+    for i in range(60):
+        if i and rng.random() < 0.1:
+            text = corpus[rng.randrange(i)][1]
+        else:
+            text = " ".join(rng.choices(INDEX_WORDS, k=rng.randint(0, 12)))
+        corpus.append((f"d{i:02d}", text))
+    out = tmp_path_factory.mktemp("ix") / "words"
+    build_index(corpus, out)
+    return load_index(out)
+
+
+def retext(rel, index, rng):
+    """*rel* with some texts replaced by an equal copy or by other text.
+
+    Returns the relation and how many of its texts are not the string
+    object *index* stored for their docno.
+    """
+    d, x = rel.columns.index("docno"), rel.columns.index("text")
+    rows = []
+    for row in rel.rows:
+        roll = rng.random()
+        if roll < 0.2:
+            row = row[:x] + (row[x].encode().decode(),) + row[x + 1 :]
+        elif roll < 0.3:
+            row = row[:x] + (" ".join(rng.choices(INDEX_WORDS, k=rng.randint(0, 6))),) + row[x + 1 :]
+        rows.append(row)
+    foreign = sum(row[x] is not index.text(row[d]) for row in rows)
+    return Relation(rel.columns, rows), foreign
+
+
+def test_index_bound_rescore_matches_unbound_on_figure1_candidates(word_index, tokenized):
+    """Bit for bit, while only text that the index did not store is tokenized."""
+    candidates = elaborate(parse("rrf(bm25, sdm >> wbm25) >> text_loader"), registry(word_index))
+    rng = random.Random(5)
+    fast = 0
+    for _ in range(80):
+        queries = [
+            {"qid": f"q{i}", "query": " ".join(rng.choices(INDEX_WORDS, k=rng.randint(1, 4)))}
+            for i in range(rng.randint(1, 3))
+        ]
+        rel, foreign = retext(execute(candidates, Relation.from_dicts(queries, ["qid", "query"])), word_index, rng)
+        params = Bm25Params(
+            k1=rng.choice([0.0, 1.2, 2.0]), b=rng.choice([0.0, 0.75, 1.0]), num_results=rng.choice([1, 3, 1000])
+        )
+        del tokenized[:]
+        bound = lexical_rescorer(params, word_index).transform(rel)
+        # one tokenize per qid's query, one per foreign text
+        assert len(tokenized) == len({row[0] for row in rel.rows}) + foreign
+        fast += len(rel) - foreign
+        unbound = lexical_rescorer(params).transform(rel)
+        assert bound == unbound
+        s = bound.columns.index("score")
+        assert [float.hex(row[s]) for row in bound.rows] == [float.hex(row[s]) for row in unbound.rows]
+    assert fast > 500

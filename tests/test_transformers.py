@@ -5,7 +5,7 @@ import pytest
 from flowrank.algebra import Leaf, execute, rr_fusion, then
 from flowrank.errors import DataError, EmptyQuery, MalformedWeightedQuery, MissingColumn, UnknownDocno
 from flowrank.frames import Relation
-from flowrank.index import load_index
+from flowrank.index import build_index, load_index
 from flowrank.transformers import (
     Bm25Params,
     SdmParams,
@@ -15,6 +15,7 @@ from flowrank.transformers import (
     first_sentence,
     lexical_rescorer,
     parse_weighted_query,
+    registry,
     sdm_rewriter,
     spec,
     text_loader,
@@ -165,10 +166,16 @@ class TestTextLoader:
 class TestEquality:
     def test_bound_index_handle_decides_equality(self, toy_index_dir):
         a, b = load_index(toy_index_dir), load_index(toy_index_dir)
-        for make in (bm25_retriever, weighted_bm25_retriever, text_loader):
+        for make in (bm25_retriever, weighted_bm25_retriever, text_loader, lambda index: lexical_rescorer(index=index)):
             assert make(a) == make(a) and hash(make(a)) == hash(make(a))
             assert make(a) != make(b)
             assert len({make(a), make(b)}) == 2
+
+    def test_registry_binds_rescore_to_its_index(self, toy_index_dir):
+        a, b = load_index(toy_index_dir), load_index(toy_index_dir)
+        assert registry(a)["rescore"]() == registry(a)["rescore"]()
+        assert registry(a)["rescore"]() != registry(b)["rescore"]()
+        assert registry(a)["rescore"]().index is a
 
 
 class TestSdmRewriter:
@@ -313,6 +320,82 @@ class TestLexicalRescorer:
         out = lexical_rescorer(Bm25Params(num_results=2)).transform(self.candidates(rows))
         assert len(out) == 3
         assert out.rows == tuple(row for row in full.rows if row[full.columns.index("rank")] < 2)
+
+
+def hex_scores(out):
+    return [(qid, docno, float.hex(score)) for qid, docno, score in zip(*map(out.column, ("qid", "docno", "score")))]
+
+
+class TestRescoreOverItsIndex:
+    """A candidate whose text is the string its index stored skips tokenize.
+
+    Every other candidate is tokenized, with the same scores either way.
+    """
+
+    def candidates(self, index, loader_index=None):
+        r_in = bm25_retriever(index).transform(qframe(("q1", "quick fox"), ("q2", "lazy dog")))
+        return text_loader(loader_index or index).transform(r_in)
+
+    def rescore(self, index, cands, tokenized):
+        """*cands* rescored over *index*, and over no index; only the first is counted."""
+        del tokenized[:]
+        out = lexical_rescorer(index=index).transform(cands)
+        count = len(tokenized)
+        assert hex_scores(out) == hex_scores(lexical_rescorer().transform(cands))
+        return out, count
+
+    def test_text_from_its_index_is_not_tokenized(self, toy_index, tokenized):
+        assert self.rescore(toy_index, self.candidates(toy_index), tokenized)[1] == 2  # the two queries
+
+    def test_equal_but_distinct_text_is_tokenized(self, toy_index, tokenized):
+        cands = self.candidates(toy_index)
+        x = cands.columns.index("text")
+        rows = [row[:x] + (row[x].encode().decode(),) + row[x + 1 :] for row in cands.rows]
+        assert all(new[x] == old[x] and new[x] is not old[x] for new, old in zip(rows, cands.rows))
+        out, count = self.rescore(toy_index, Relation(cands.columns, rows), tokenized)
+        assert count == 2 + len(rows)
+        assert hex_scores(out) == hex_scores(lexical_rescorer(index=toy_index).transform(cands))
+
+    def test_text_from_another_handle_is_tokenized(self, toy_index, toy_index_dir, tokenized):
+        cands = self.candidates(toy_index, loader_index=load_index(toy_index_dir))
+        assert self.rescore(toy_index, cands, tokenized)[1] == 2 + len(cands)
+
+    def test_text_from_a_custom_stage_is_tokenized(self, toy_index, tokenized):
+        def prefix(rel):
+            x = rel.columns.index("text")
+            return Relation(rel.columns, [row[:x] + ("quick quick " + row[x],) + row[x + 1 :] for row in rel.rows])
+
+        restate = Transformer("restate", "prefix every text", (), spec({"text"}, {"text"}, passthrough=True), prefix)
+        cands = restate.transform(self.candidates(toy_index))
+        assert self.rescore(toy_index, cands, tokenized)[1] == 2 + len(cands)
+
+    def test_unloaded_index_is_not_loaded(self, toy_index_dir, tokenized):
+        index = load_index(toy_index_dir)
+        rows = [{"qid": "q1", "query": "fox", "docno": d, "text": t} for d, t in TOY5]
+        cands = rel(rows, ["qid", "query", "docno", "text"])
+        assert self.rescore(index, cands, tokenized)[1] == 1 + len(TOY5)
+        assert not index.data_loaded
+
+    def test_text_disagreeing_with_postings_scores_by_postings(self, tmp_path):
+        """The index trusts its own docs.jsonl text to match its postings.
+
+        A stored text edited to other words of the same length loads; bm25
+        and rescore over the loaded text both score by the postings.
+        """
+        build_index([("d1", "apple banana"), ("d2", "banana cherry"), ("d3", "cherry apple apple")], tmp_path)
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text(docs.read_text(encoding="utf-8").replace("apple banana", "zebra zebra"), encoding="utf-8")
+        index = load_index(tmp_path)
+        assert index.text("d1") == "zebra zebra"
+        cands = text_loader(index).transform(bm25_retriever(index).transform(qframe(("q1", "apple"))))
+        assert cands.column("docno") == ("d3", "d1")
+        d, x = cands.columns.index("docno"), cands.columns.index("text")
+        as_indexed = Relation(
+            cands.columns, [row[:x] + ("apple banana" if row[d] == "d1" else row[x],) + row[x + 1 :] for row in cands.rows]
+        )
+        out = lexical_rescorer(index=index).transform(cands)
+        assert hex_scores(out) == hex_scores(lexical_rescorer().transform(as_indexed))
+        assert hex_scores(out) != hex_scores(lexical_rescorer().transform(cands))
 
 
 class TestExtractiveAnswerer:

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from itertools import chain, repeat
+from operator import add, itemgetter, mul
+from typing import Callable, Iterable, Iterator
 
 from .errors import DataError, FlowrankError, InvalidK, ValidationError, WeightLengthMismatch
-from .frames import Relation, _unique, rank_tuples, ranked
+from .frames import Relation, _unique, dense_ranks, ordered, rank_tuples
 from .transformers import Transformer
 
 DEFAULT_RRF_K = 60.0
@@ -128,16 +130,19 @@ def _run(node: PipelineNode, rel: Relation, path: tuple[int, ...]) -> Relation:
                 rel = _run(child, rel, path + (i,))
             return rel
         if isinstance(node, Linear):
-            values = [lambda score, rank, w=w: w * score for w in node.weights]
+            values = [lambda scores, ranks, w=w: map(mul, repeat(w), scores) for w in node.weights]
         elif isinstance(node, RRF):
-            values = [lambda score, rank: 1.0 / (node.k + rank + 1)] * len(node.children)
+            values = [lambda scores, ranks: [1.0 / (node.k + rank + 1) for rank in ranks]] * len(node.children)
         else:
             raise TypeError(f"unknown pipeline node: {node!r}")
         outputs = [_run(child, rel, path + (i,)) for i, child in enumerate(node.children)]
         contributions = [
             _contribution(out, value, path + (i,)) for i, (out, value) in enumerate(zip(outputs, values))
         ]
-        return _fuse(outputs, contributions)
+        fused = _fuse(outputs, contributions)
+        if isinstance(node, Linear):
+            _check_products(node.weights, outputs, contributions)
+        return fused
     except FlowrankError as exc:
         # the deepest node attaches first: a child's error keeps its own path
         exc.attach_path(path)
@@ -145,23 +150,34 @@ def _run(node: PipelineNode, rel: Relation, path: tuple[int, ...]) -> Relation:
 
 
 def _contribution(
-    out: Relation, value: Callable[[float, int], float], path: tuple[int, ...]
+    out: Relation, value: Callable[[Iterator[float], Iterator[int]], Iterable], path: tuple[int, ...]
 ) -> dict[tuple[str, str], float]:
-    """``value(score, rank)`` per ``(qid, docno)`` of one fusion child's output.
+    """``value(scores, ranks)`` per ``(qid, docno)`` of one fusion child's output.
 
-    The child is ranked by the engine's rule, whatever order or ranks it
-    came with, and must hold each ``(qid, docno)`` at most once; an error
-    carries the child's *path*.
+    The child is put in the engine's ranking order, whatever order or
+    ranks it came with, and ranked by position; *value* maps its score and
+    rank columns in that order to one value per row.  The child must hold
+    each ``(qid, docno)`` at most once; an error carries the child's *path*.
     """
     try:
         q, s, d = map(out.columns.index, ("qid", "score", "docno"))
-        contribution = {(row[q], row[d]): value(row[s], rank) for row, rank in ranked(out.rows, q, s, d)}
-        if len(contribution) != len(out.rows):
+        rows = ordered(out.rows, s, d, q)
+        keys = zip(map(itemgetter(q), rows), map(itemgetter(d), rows))
+        contribution = dict(zip(keys, value(map(itemgetter(s), rows), dense_ranks(rows, q))))
+        if len(contribution) != len(rows):
             _unique(list(zip(out.column("qid"), out.column("docno"))), "(qid, docno)")
     except FlowrankError as exc:
         exc.attach_path(path)
         raise
     return contribution
+
+
+def _check_products(weights, outputs: list[Relation], contributions: list[dict]) -> None:
+    """Raise :class:`DataError` where a ``weight * score`` overflowed from a finite score."""
+    # a nonzero weight keeps an infinite score infinite, and 0 * inf is nan
+    for weight, out, products in zip(weights, outputs, contributions):
+        if sum(map(math.isinf, products.values())) > sum(map(math.isinf, out.column("score"))):
+            raise DataError(f"weight {weight} times a score is not finite")
 
 
 def _fuse(outputs: list[Relation], contributions: list[dict]) -> Relation:
@@ -174,17 +190,18 @@ def _fuse(outputs: list[Relation], contributions: list[dict]) -> Relation:
     that adds ``inf`` to ``-inf``, raises :class:`DataError`.
     """
     lead = ("qid", "query") if all("query" in out.columns for out in outputs) else ("qid",)
-    parts: dict[tuple[str, str], list[float]] = {}
-    for contrib in contributions:
-        for key, value in contrib.items():
-            parts.setdefault(key, []).append(value)
+    keys = list(dict.fromkeys(chain.from_iterable(contributions)))
     try:
-        totals = list(map(math.fsum, parts.values()))
+        # a child without a key adds 0.0, which leaves every fsum as it was
+        totals = list(map(math.fsum, zip(*(map(c.get, keys, repeat(0.0)) for c in contributions))))
     except (OverflowError, ValueError) as exc:
         raise DataError(f"scores do not sum to a finite number ({exc})") from None
-    cells: dict[str, tuple] = {}  # qid -> its cells in *lead*
+    cells: dict[str, tuple] = {}  # qid -> its cells in *lead*, from the first row holding it
     for out in outputs:
-        for row in zip(*map(out.column, lead)):
-            cells.setdefault(row[0], row)
-    rows = [cells[qid] + (docno, total) for (qid, docno), total in zip(parts, totals)]
+        qids = out.column("qid")
+        for qid in dict.fromkeys(qids).keys() - cells.keys():
+            row = out.rows[qids.index(qid)]
+            cells[qid] = tuple(row[out.columns.index(c)] for c in lead)
+    heads = map(cells.__getitem__, map(itemgetter(0), keys))
+    rows = map(add, heads, zip(map(itemgetter(1), keys), totals))
     return Relation._trusted(*rank_tuples(lead + ("docno", "score"), rows))

@@ -9,12 +9,14 @@ non-increasing score), so any relation the framework hands out is valid.
 Public construction also checks the type of every cell.  The engine's own
 stages build their outputs from cells of already-checked relations plus
 values they compute, through :meth:`Relation._trusted`, which skips that
-per-cell type pass and the rank check: the engine ranks only through
-:func:`rank_tuples`.
+per-cell type pass and the rank check: the engine orders every ranking it
+produces once, through :func:`ordered`, and writes its ranks from that
+order.
 """
 
 from __future__ import annotations
 
+import collections
 import io
 import itertools
 import math
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError, FormatError, MissingColumn, UnknownDocno
+from .index import Index
 
 # Types of the well-known data-model columns; any other column holds text.
 KNOWN_COLUMN_TYPES = {
@@ -165,9 +168,10 @@ class Relation:
         Cells copied from checked relations keep their column's type, and
         the engine computes only well-typed values, so the per-cell type pass
         is skipped.  Ranks are not checked either: every engine stage either
-        writes them through :func:`rank_tuples`, keeping a prefix of each
-        qid's ranks at most, or copies them unchanged from a checked
-        relation.  A stage may still change the frame kind and so gain
+        writes them from the order of :func:`ordered` (the retrievers by
+        position, every other stage through :func:`rank_tuples`), keeping a
+        prefix of each qid's ranks at most, or copies them unchanged from a
+        checked relation.  A stage may still change the frame kind and so gain
         required columns and a primary key: nulls in required columns and
         keys are checked as in public construction.
         """
@@ -176,7 +180,7 @@ class Relation:
         object.__setattr__(rel, "rows", tuple(rows))
         kind = classify_frame(rel.columns)
         for name in _required(kind):
-            if None in map(operator.itemgetter(rel.columns.index(name)), rel.rows):
+            if _has_null(rel.rows, rel.columns.index(name)):
                 raise DataError(f"column {name!r} is required by its frame kind and may not be null")
         rel._check_keys(kind)
         return rel
@@ -190,7 +194,8 @@ class Relation:
         elif kind == FrameKind("D"):
             _unique(self.column("docno"), "docno")
         elif kind.base == "R" and {"qid", "docno"} <= names:
-            _unique(list(zip(self.column("qid"), self.column("docno"))), "(qid, docno)")
+            keys = operator.itemgetter(self.columns.index("qid"), self.columns.index("docno"))
+            _unique(list(map(keys, self.rows)), "(qid, docno)")
 
     def _check_ranks(self):
         scores = self.column("score")
@@ -247,37 +252,74 @@ def _unique(values: Sequence, label: str):
         seen.add(v)
 
 
+def _has_null(rows: Sequence[tuple], i: int) -> bool:
+    # all() is true unless a cell is falsy: only a null, empty or zero cell needs the exact test
+    return not all(map(operator.itemgetter(i), rows)) and None in map(operator.itemgetter(i), rows)
+
+
 def _check_scores(qids: Iterable, scores: Sequence) -> None:
     if None in scores or any(map(math.isnan, scores)):
         qid, score = next((q, s) for q, s in zip(qids, scores) if s is None or s != s)
         raise DataError(f"score {score} for qid {qid!r} cannot be ranked")
 
 
-def ranked(rows: Sequence[tuple], qid: int, score: int, docno: int) -> Iterator[tuple[tuple, int]]:
-    """``(row, rank)`` pairs ordered by (qid asc, score desc, docno asc).
+def ordered(rows: Iterable[tuple], score: int, docno: int, qid: int | None = None) -> list[tuple]:
+    """*rows* by the engine's one ranking rule: (qid asc, score desc, docno asc).
 
-    This is the single ranking rule used everywhere a result frame is
-    produced; ties in score break by ascending docno for determinism, and
-    ranks count from 0 within each qid.  *qid*, *score* and *docno* are
-    positions in each row tuple.  A null qid or docno, or a null or NaN
-    score, raises :class:`DataError` before anything is sorted.
+    Every ranking the engine produces is ordered here, once.  *qid*,
+    *score* and *docno* are positions in each row tuple; without *qid* the
+    rows are one ranking.  Stable sorts keyed in C, least significant key
+    first, give the order of one sort by ``(qid, -score, docno)``.  A null
+    qid or docno, or a null or NaN score, raises :class:`DataError`
+    before anything is sorted.
     """
-    if None in map(operator.itemgetter(qid), rows) or None in map(operator.itemgetter(docno), rows):
+    rows = list(rows)
+    if _has_null(rows, docno) or (qid is not None and _has_null(rows, qid)):
         raise DataError("a row with a null qid or docno cannot be ranked")
-    _check_scores(map(operator.itemgetter(qid), rows), tuple(map(operator.itemgetter(score), rows)))
-    ordered = sorted(rows, key=lambda r: (r[qid], -r[score], r[docno]))
-    for _, group in itertools.groupby(ordered, key=operator.itemgetter(qid)):
-        for rank, row in enumerate(group):
-            yield row, rank
+    qids = itertools.repeat(None) if qid is None else map(operator.itemgetter(qid), rows)
+    scores = list(map(operator.itemgetter(score), rows))
+    _check_scores(qids, scores)
+    # rows already in this order, such as the engine's rankings that reach
+    # fusion, stay as they are; scores that rise somewhere rule it out cheaply
+    if all(map(operator.ge, scores, scores[1:])):
+        qids = itertools.repeat(None) if qid is None else map(operator.itemgetter(qid), rows)
+        keys = list(zip(qids, map(operator.neg, scores), map(operator.itemgetter(docno), rows)))
+        if all(map(operator.le, keys, keys[1:])):
+            return rows
+    rows.sort(key=operator.itemgetter(docno))
+    rows.sort(key=operator.itemgetter(score), reverse=True)
+    if qid is not None:
+        rows.sort(key=operator.itemgetter(qid))
+    return rows
 
 
-def rank_tuples(columns: Sequence[str], rows: Sequence[tuple]) -> tuple[list[str], list[tuple]]:
+def dense_ranks(rows: Iterable[tuple], qid: int) -> Iterator[int]:
+    """0, 1, 2, ... within each qid of *rows*, which are in :func:`ordered` order."""
+    # counting ordered rows meets their qids in ascending order
+    per_qid = collections.Counter(map(operator.itemgetter(qid), rows)).values()
+    return itertools.chain.from_iterable(map(range, per_qid))
+
+
+def put_column(rows: Iterable[tuple], i: int, values: Iterable) -> list[tuple]:
+    """Each row with its cell *i* set to the next of *values*: appended to
+    rows of exactly *i* cells, else replaced in place."""
+    rows = list(rows)
+    if not rows or len(rows[0]) == i:
+        return list(map(operator.add, rows, zip(values)))
+    # one new tuple per row: through the columns, not by slicing each row
+    columns = list(zip(*rows))
+    columns[i] = values
+    return list(zip(*columns))
+
+
+def rank_tuples(columns: Sequence[str], rows: Iterable[tuple]) -> tuple[list[str], list[tuple]]:
     """Rank row tuples over *columns*, writing ``rank`` in place or appending it."""
     columns = list(columns)
     if "rank" not in columns:
         columns.append("rank")
     q, s, d, r = (columns.index(c) for c in ("qid", "score", "docno", "rank"))
-    return columns, [row[:r] + (rank,) + row[r + 1 :] for row, rank in ranked(rows, q, s, d)]
+    rows = ordered(rows, s, d, q)
+    return columns, put_column(rows, r, dense_ranks(rows, q))
 
 
 def sort_and_rank(rel: Relation) -> Relation:
@@ -292,10 +334,12 @@ def sort_and_rank(rel: Relation) -> Relation:
 def join_on_docno(left: Relation, docs) -> Relation:
     """Append a ``text`` column to *left* by docno lookup, preserving row order.
 
-    *docs* is any mapping-like store supporting ``in`` and ``[]`` from docno
-    to document text.  An absent docno raises :class:`UnknownDocno`, and a
-    looked-up value that is not text raises :class:`DataError`.  An
-    existing ``text`` column is overwritten in place.
+    *docs* is an :class:`~flowrank.index.Index`, read in one lookup pass,
+    or any other mapping-like store supporting ``in`` and ``[]`` from
+    docno to document text.  An absent docno raises
+    :class:`UnknownDocno`, and a looked-up value that is not text raises
+    :class:`DataError`.  An existing ``text`` column is overwritten in
+    place.
     """
     present = set(left.columns)
     if "docno" not in present:
@@ -303,19 +347,19 @@ def join_on_docno(left: Relation, docs) -> Relation:
     columns = list(left.columns)
     if "text" not in columns:
         columns.append("text")
-    pad = (None,) * (len(columns) - len(left.columns))
-    d, x = columns.index("docno"), columns.index("text")
-    rows = []
-    for row in left.rows:
-        docno = row[d]
-        if docno not in docs:
-            raise UnknownDocno(docno)
-        text = docs[docno]
-        if text is not None and not isinstance(text, str):
-            raise DataError(f"column 'text' expects text, got {type(text).__name__}")
-        row += pad
-        rows.append(row[:x] + (text,) + row[x + 1 :])
-    return Relation._trusted(columns, rows)
+    docnos = list(map(operator.itemgetter(columns.index("docno")), left.rows))
+    if isinstance(docs, Index):
+        texts = docs.texts(docnos)
+    else:
+        texts = []
+        for docno in docnos:
+            if docno not in docs:
+                raise UnknownDocno(docno)
+            text = docs[docno]
+            if text is not None and not isinstance(text, str):
+                raise DataError(f"column 'text' expects text, got {type(text).__name__}")
+            texts.append(text)
+    return Relation._trusted(columns, put_column(left.rows, columns.index("text"), texts))
 
 
 def read_topics(path) -> Relation:

@@ -397,11 +397,7 @@ class Index:
         return self._doc_lens
 
     def text(self, docno: str) -> str:
-        self._ensure_loaded()
-        try:
-            return self._texts[self._ids[docno]]
-        except KeyError:
-            raise UnknownDocno(docno) from None
+        return self.texts([docno])[0]
 
     def __contains__(self, docno: str) -> bool:
         self._ensure_loaded()
@@ -409,6 +405,15 @@ class Index:
 
     def __getitem__(self, docno: str) -> str:
         return self.text(docno)
+
+    def texts(self, docnos: list[str]) -> tuple[str, ...]:
+        """The stored text of each of *docnos*, in order; the first docno
+        not in the index raises :class:`UnknownDocno`."""
+        self._ensure_loaded()
+        ids = list(map(self._ids.get, docnos))
+        if None in ids:
+            raise UnknownDocno(docnos[ids.index(None)])
+        return _pick(self._texts, ids)
 
     def stored_ids(self, docnos: Iterable[str], texts: Iterable[str]) -> list[int | None]:
         """Per pair, the doc_id of *docno* if *text* is the very string this

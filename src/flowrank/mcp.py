@@ -15,14 +15,16 @@ JSON-RPC response.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import chain
 
 from .algebra import PipelineNode, execute
 from .errors import BindError, FlowrankError, NotSatisfied, NotServable
-from .frames import Relation, canonical_columns
+from .frames import KNOWN_COLUMN_TYPES, Relation, canonical_columns
 from .inspect import output_columns
 
 PROTOCOL_VERSION = "2025-03-26"
@@ -104,6 +106,19 @@ def _json_value(value):
     return value
 
 
+def _finite(rel: Relation) -> bool:
+    """Whether every float in *rel* is finite: JSON (RFC 8259) has no inf or nan."""
+    for name in rel.columns:
+        kind = KNOWN_COLUMN_TYPES.get(name)
+        if kind in ("float64", "float-vector"):
+            cells = [v for v in rel.column(name) if v is not None]
+            if kind == "float-vector":
+                cells = list(chain.from_iterable(cells))
+            if not all(map(math.isfinite, cells)):
+                return False
+    return True
+
+
 def relation_to_json_rows(rel: Relation) -> list[dict]:
     """Rows as flat JSON objects with canonical float formatting (6 decimals)."""
     names = rel.columns
@@ -131,6 +146,10 @@ def _rpc_error(id_, code: int, message: str) -> dict:
 
 def _rpc_result(id_, result) -> dict:
     return {"jsonrpc": "2.0", "id": id_, "result": result}
+
+
+def _tool_error(id_, message: str) -> dict:
+    return _rpc_result(id_, {"content": [{"type": "text", "text": message}], "isError": True})
 
 
 class _Dispatcher:
@@ -211,9 +230,9 @@ class _Dispatcher:
         try:
             result = execute(node, queries)
         except FlowrankError as exc:
-            return _rpc_result(
-                id_, {"content": [{"type": "text", "text": str(exc)}], "isError": True}
-            )
+            return _tool_error(id_, str(exc))
+        if not _finite(result):
+            return _tool_error(id_, "the result holds a value that is not finite, which JSON cannot carry")
         return _rpc_result(
             id_,
             {

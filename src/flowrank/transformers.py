@@ -12,13 +12,14 @@ re-rankers and reader models.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, compress
-from operator import itemgetter, neg
+from itertools import chain, compress, count, repeat
+from operator import add, getitem, is_, itemgetter
 from typing import Callable
 
 from .errors import DataError, EmptyQuery, MalformedWeightedQuery, MissingColumn
-from .frames import Relation, join_on_docno, rank_tuples
+from .frames import Relation, _has_null, join_on_docno, ordered, put_column, rank_tuples
 from .index import Index, adjacent_counts, tokenize
 
 
@@ -118,7 +119,7 @@ def _require_values(rel: Relation, who: str, *names: str) -> None:
     ``text``, so validation passes them; the stage that reads one cannot.
     """
     for name in names:
-        if None in map(itemgetter(rel.columns.index(name)), rel.rows):
+        if _has_null(rel.rows, rel.columns.index(name)):
             raise DataError(f"{who}: column {name!r} holds a null")
 
 
@@ -233,9 +234,12 @@ def _score_groups(index: Index, params: Bm25Params, groups) -> list[tuple[str, f
     the length norm of each distinct document length, are computed once per
     call.  A document matched by one term or window keeps its weighted part
     as a bare float; only documents matched more than once get a list of
-    parts, summed by ``fsum`` in query order.  The cut for the top
-    ``num_results`` is the k-th largest of the bare scores; only documents
-    at or above it, ties included, are sorted as (score, docno) pairs.
+    parts, summed by ``fsum`` in query order.  The documents are sorted
+    once by score; the cut keeps the first ``num_results`` and every
+    document tied with the last of them, and only those are put in
+    ranking order, by :func:`~flowrank.frames.ordered`.  A score that is
+    not finite, which only a weight near ``1e308`` can cause, raises
+    :class:`DataError`.
     """
     plists = []  # (weight, doc_ids, tfs) per term or window
     for kind, weight, tokens in groups:
@@ -267,16 +271,17 @@ def _score_groups(index: Index, params: Bm25Params, groups) -> list[tuple[str, f
         scores.update(zip(shared, map(math.fsum, shared.values())))
     except (OverflowError, ValueError) as exc:
         raise DataError(f"scores do not sum to a finite number ({exc})") from None
-    doc_ids, values = scores.keys(), scores.values()
+    by_score = sorted(scores, key=scores.__getitem__, reverse=True)
+    # impacts are finite, so only a weight can make a part infinite
+    if by_score and (scores[by_score[-1]] == -math.inf or scores[by_score[0]] == math.inf):
+        raise DataError("a weighted part of a score is not finite")
     k = params.num_results
-    if len(scores) > k:
+    if len(by_score) > k:
         # every score at or above the k-th largest, so that ties at the cut all survive
-        keep = list(map(sorted(values)[-k].__le__, values))
-        doc_ids, values = compress(doc_ids, keep), compress(values, keep)
-    docnos = index.docnos()
-    top = sorted(zip(map(neg, values), map(docnos.__getitem__, doc_ids)))
-    # fsum([x]) is x, except that -0.0 becomes 0.0: so does 0.0 - -x
-    return [(docno, 0.0 - s) for s, docno in top[:k]]
+        by_score = by_score[: bisect_right(by_score, -scores[by_score[k - 1]], k, key=lambda d: -scores[d])]
+    # fsum([x]) is x, except that -0.0 becomes 0.0: so does 0.0 + x
+    values = map(0.0.__add__, map(scores.__getitem__, by_score))
+    return ordered(zip(map(index.docnos().__getitem__, by_score), values), 1, 0)[:k]
 
 
 def _retrieval_fn(index: Index, params: Bm25Params, weighted: bool):
@@ -289,13 +294,16 @@ def _retrieval_fn(index: Index, params: Bm25Params, weighted: bool):
         for row in rel.rows:
             queries.setdefault(row[q], row[t])
         rows = []
-        for qid, query in queries.items():
+        for qid in sorted(queries):  # the ranking rule's qid order
+            query = queries[qid]
             if weighted and is_weighted_query(query):
                 groups = parse_weighted_query(query)
             else:
                 groups = [("w", 1.0, tokenize(query))]
-            rows.extend((qid, query, docno, score) for docno, score in _score_groups(index, params, groups))
-        return Relation._trusted(*rank_tuples(_RETRIEVER_OUT[:4], rows))
+            # (qid, query) + (docno, score) + (rank,), ranked by position
+            top = map(add, repeat((qid, query)), _score_groups(index, params, groups))
+            rows += map(add, top, zip(count()))
+        return Relation._trusted(_RETRIEVER_OUT, rows)
 
     return fn
 
@@ -387,7 +395,6 @@ def lexical_rescorer(params: Bm25Params = Bm25Params(), index: Index | None = No
         _require_values(rel, "rescore", "query", "text")
         columns = list(rel.columns)
         columns += [extra for extra in ("score", "rank") if extra not in columns]
-        pad = (None,) * (len(columns) - len(rel.columns))
         q, t, d, x, s = (columns.index(c) for c in ("qid", "query", "docno", "text", "score"))
         k1, b = params.k1, params.b
         groups: dict[str, list[tuple]] = {}
@@ -403,43 +410,42 @@ def lexical_rescorer(params: Bm25Params = Bm25Params(), index: Index | None = No
             n = len(cands)
             texts = list(map(itemgetter(x), cands))
             ids = [None] * n if index is None else index.stored_ids(map(itemgetter(d), cands), texts)
+            # each candidate's length and one tf column per term: from the
+            # index where it stored the text, else tokenized (one candidate
+            # at a time, keeping its length and the count of each term)
             if ids.count(None) < n:
                 doc_lens = index.doc_lens()
-                tf_gets = [dict(zip(*index.columns(term)[:2])).get for term in terms]
-            # one candidate at a time, tokenizing only text the index did
-            # not store: keep its length and the count of each query term
-            lens, counts = [], []
-            for text, i in zip(texts, ids):
-                if i is None:
-                    toks = tokenize(text)
-                    lens.append(len(toks))
-                    counts.append(list(map(toks.count, terms)))
-                else:
-                    lens.append(doc_lens[i])
-                    counts.append([get(i, 0) for get in tf_gets])
+                lens = [0 if i is None else doc_lens[i] for i in ids]
+                tf_columns = [list(map(dict(zip(*index.columns(term)[:2])).get, ids, repeat(0))) for term in terms]
+            else:
+                lens, tf_columns = [0] * n, [[0] * n for _ in terms]
+            for j in compress(range(n), map(is_, ids, repeat(None))):
+                toks = tokenize(texts[j])
+                lens[j] = len(toks)
+                for tfs, tf in zip(tf_columns, map(toks.count, terms)):
+                    tfs[j] = tf
             avgdl = sum(lens) / n
+            # no term occurs in any candidate when avgdl is 0: no norm is read
+            norms = [k1 * (1.0 - b + b * dl / avgdl) for dl in lens] if avgdl else lens
             # each distinct query term's part of every candidate's score,
             # 0.0 where it does not occur: all parts are positive, so the
             # zeros leave every fsum bit for bit as without them
             parts: dict[str, list[float]] = {}
-            for term, tfs in zip(terms, zip(*counts)):
+            for term, tfs in zip(terms, tf_columns):
                 df = n - tfs.count(0)
                 idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-                parts[term] = [
-                    idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl)) if tf else 0.0
-                    for tf, dl in zip(tfs, lens)
-                ]
+                parts[term] = [idf * tf * (k1 + 1.0) / (tf + norm) if tf else 0.0 for tf, norm in zip(tfs, norms)]
             zeros = (0.0,) * n  # the score of a query without tokens
             scores = {
                 query: list(map(math.fsum, zip(zeros, *map(parts.__getitem__, toks))))
                 for query, toks in query_tokens.items()
             }
-            for i, cand in enumerate(cands):
-                row = cand + pad
-                rows.append(row[:s] + (scores[cand[t]][i],) + row[s + 1 :])
+            # the score of each candidate under its own query
+            own = map(getitem, map(scores.__getitem__, map(itemgetter(t), cands)), range(n))
+            rows += put_column(cands, s, own)
         columns, rows = rank_tuples(columns, rows)
-        r = columns.index("rank")
-        return Relation._trusted(columns, [row for row in rows if row[r] < params.num_results])
+        kept = map(params.num_results.__gt__, map(itemgetter(columns.index("rank")), rows))
+        return Relation._trusted(columns, compress(rows, kept))
 
     return Transformer(
         name="rescore",

@@ -64,6 +64,18 @@ class TestLinear:
         assert reason in str(err.value)
         assert err.value.path == (1,)
 
+    def test_product_overflowing_a_finite_score_fails_at_the_fusion_node(self):
+        a, b = run_of("a", q1_run(("d1", 10.0))), run_of("b", q1_run(("d2", 1.0)))
+        node = rr_fusion([run_of("c", q1_run(("d2", 1.0))), linear([a, b], (1e308, 1.0))])
+        with pytest.raises(DataError, match="weight 1e\\+308 times a score is not finite") as err:
+            execute(node, EMPTY_INPUT)
+        assert err.value.path == (1,)
+
+    def test_infinite_score_passes_through(self):
+        a, b = run_of("a", q1_run(("d1", math.inf))), run_of("b", q1_run(("d2", 1.0)))
+        out = execute(linear([a, b], (2.0, 1.0)), EMPTY_INPUT)
+        assert out.column("score") == (math.inf, 1.0)
+
     def test_union_with_zero_fill(self):
         a = run_of("a", q1_run(("d1", 2.0)))
         b = run_of("b", q1_run(("d2", 3.0)))

@@ -12,6 +12,8 @@ from flowrank.frames import (
     sort_and_rank,
 )
 
+from conftest import TOY5
+
 
 def rel(rows, columns):
     return Relation.from_dicts(rows, columns)
@@ -221,6 +223,34 @@ class TestJoinOnDocno:
         # docno may be null in {docno} but not in the document frame it becomes
         with pytest.raises(DataError):
             join_on_docno(rel([{"docno": None}], ["docno"]), {None: "x"})
+
+
+class TestJoinOnIndex:
+    """An Index's one lookup pass agrees with the same texts given as a plain mapping."""
+
+    def test_same_rows_in_the_same_order(self, toy_index):
+        texts = dict(TOY5)
+        rng = random.Random(5)
+        for _ in range(20):
+            docnos = rng.choices(list(texts), k=rng.randint(0, 8))
+            left = Relation(("qid", "docno"), [(f"q{i}", d) for i, d in enumerate(docnos)])
+            out = join_on_docno(left, toy_index)
+            assert out == join_on_docno(left, texts)
+            assert out.column("docno") == tuple(docnos)
+
+    def test_existing_text_overwritten_in_place(self, toy_index):
+        left = rel([{"docno": "d3", "text": "old", "tag": "t"}], ["docno", "text", "tag"])
+        out = join_on_docno(left, toy_index)
+        assert out.columns == ("docno", "text", "tag")
+        assert out.rows == (("d3", "quick quick fox", "t"),)
+        assert out == join_on_docno(left, dict(TOY5))
+
+    def test_first_missing_docno_raised(self, toy_index):
+        left = rel([{"docno": d} for d in ("d2", "x9", "d1", "x1")], ["docno"])
+        for docs in (toy_index, dict(TOY5)):
+            with pytest.raises(UnknownDocno) as err:
+                join_on_docno(left, docs)
+            assert err.value.docno == "x9"
 
 
 class TestExternalFormats:

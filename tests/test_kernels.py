@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from flowrank.algebra import execute
 from flowrank.dsl import elaborate, parse
-from flowrank.frames import Relation, rank_tuples
+from flowrank.frames import Relation, rank_tuples, sort_and_rank
 from flowrank.index import _TOKEN, build_index, count_adjacent, load_index, tokenize
 from flowrank.transformers import Bm25Params, _score_groups, lexical_rescorer, registry
 
@@ -308,3 +308,59 @@ def test_index_bound_rescore_matches_unbound_on_figure1_candidates(word_index, t
         s = bound.columns.index("score")
         assert [float.hex(row[s]) for row in bound.rows] == [float.hex(row[s]) for row in unbound.rows]
     assert fast > 500
+
+
+# ---------------------------------------------------------------------------
+# the ranking rule (frames.ordered under rank_tuples and the retrievers)
+# ---------------------------------------------------------------------------
+
+RANK_SCORES = [0.0, -0.0, 1.0, 1.0, 2.5, -2.5, math.inf, -math.inf, 1e-320]
+
+
+@st.composite
+def rankable_rows(draw):
+    """(qid, docno, score) rows over 1-3 qids, scores drawn with duplicates, in any order."""
+    qids = draw(st.lists(st.sampled_from(["q1", "q2", "q10"]), min_size=1, max_size=3, unique=True))
+    rows = []
+    for qid in qids:
+        docnos = draw(st.lists(st.sampled_from([f"d{i}" for i in range(12)]), max_size=8, unique=True))
+        rows += [(qid, docno, draw(st.sampled_from(RANK_SCORES))) for docno in docnos]
+    order = draw(st.sampled_from(["random", "by score", "sorted", "reversed"]))
+    if order in ("random", "by score"):
+        rows = draw(st.permutations(rows))
+    if order == "by score":  # qids and tied docnos out of order
+        rows.sort(key=lambda r: -r[2])
+    elif order != "random":
+        rows.sort(key=lambda r: (r[0], -r[2], r[1]), reverse=order == "reversed")
+    return rows
+
+
+def oracle_rank(rows):
+    """One sort by (qid, -score, docno), then dense ranks per qid."""
+    ranked, rank = [], {}
+    for qid, docno, score in sorted(rows, key=lambda r: (r[0], -r[2], r[1])):
+        ranked.append((qid, docno, score, rank.setdefault(qid, 0)))
+        rank[qid] += 1
+    return ranked
+
+
+def rank_bits(rows):
+    return [(qid, docno, float.hex(score), rank) for qid, docno, score, rank in rows]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(rankable_rows())
+def test_rank_tuples_follows_the_ranking_rule(rows):
+    columns, got = rank_tuples(("qid", "docno", "score"), rows)
+    assert columns == ["qid", "docno", "score", "rank"]
+    assert rank_bits(got) == rank_bits(oracle_rank(rows))
+
+
+def test_retrievers_rank_qids_arriving_out_of_order(word_index):
+    """Rows of q10, q2 and q1 come out as sort_and_rank would order and rank them."""
+    queries = [("q10", "fox dog"), ("q2", "the lazy fox"), ("q1", "kelvin")]
+    rel = Relation.from_dicts([{"qid": q, "query": t} for q, t in queries], ["qid", "query"])
+    for name, query_rel in (("bm25", rel), ("wbm25", registry(word_index)["sdm"]().transform(rel))):
+        out = registry(word_index)[name]().transform(query_rel)
+        assert [qid for qid in dict.fromkeys(out.column("qid"))] == ["q1", "q10", "q2"]
+        assert repr(out.rows) == repr(sort_and_rank(out).rows)

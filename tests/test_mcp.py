@@ -1,10 +1,11 @@
 import json
+import math
 import socket
 import urllib.request
 
 import pytest
 
-from flowrank.algebra import Leaf, execute
+from flowrank.algebra import Leaf, execute, then
 from flowrank.dsl import elaborate, parse
 from flowrank.errors import BindError, NotServable
 from flowrank.frames import Relation
@@ -14,7 +15,11 @@ from flowrank.mcp import (
     serve,
     tool_descriptor,
 )
-from flowrank.transformers import bm25_retriever, lexical_rescorer, registry
+from flowrank.transformers import Transformer, bm25_retriever, lexical_rescorer, registry, spec
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
 
 
 def rpc(url, payload, raw=None):
@@ -22,7 +27,7 @@ def rpc(url, payload, raw=None):
     req = urllib.request.Request(url, data=data, headers={"Content-Type": "application/json"})
     with urllib.request.urlopen(req, timeout=10) as resp:
         assert resp.headers["Content-Type"] == "application/json"
-        return json.loads(resp.read())
+        return json.loads(resp.read(), parse_constant=_no_constant)
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +188,28 @@ class TestProtocol:
             )
         assert resp["result"]["isError"] is True
         assert "scores do not sum to a finite number" in resp["result"]["content"][0]["text"]
+
+    def test_replies_are_strict_json(self, overflow_index):
+        """No reply carries Infinity or NaN: a weight that overflows, or a
+        custom stage's infinite score, is a tool error."""
+
+        def infinite(rel):
+            return Relation(rel.columns, [row[:3] + (math.inf,) + row[4:] for row in rel.rows])
+
+        ranked = ("qid", "query", "docno", "score", "rank")
+        stage = Transformer("inf", "scores everything inf", (), spec(ranked, ranked), infinite)
+        retrieve = elaborate(parse("wbm25"), registry(overflow_index))
+        config = ServerConfig(port=0, pipelines={"w": (retrieve, "d"), "inf": (then(retrieve, Leaf(stage)), "d")})
+        calls = [("w", "#w(1.79e308) alpha"), ("w", "#w(-1.79e308) alpha"), ("inf", "alpha")]
+        with serve(config) as handle:
+            for i, (tool, query) in enumerate(calls):
+                reply = rpc(
+                    handle.url,
+                    {"jsonrpc": "2.0", "id": i, "method": "tools/call",
+                     "params": {"name": tool, "arguments": {"queries": [{"qid": "q1", "query": query}]}}},
+                )
+                assert reply["result"]["isError"] is True
+                assert "not finite" in reply["result"]["content"][0]["text"]
 
     def test_notification_gets_202_and_no_response(self, server):
         body = json.dumps({"jsonrpc": "2.0", "method": "notifications/initialized"}).encode()

@@ -485,6 +485,13 @@ class TestNonFiniteScores:
         assert reason in str(err.value)
         assert err.value.path == (1,)
 
+    @pytest.mark.parametrize("weight", ["1.79e308", "-1.79e308"])
+    def test_one_overflowing_part_fails_at_its_leaf(self, overflow_index, weight):
+        node = rr_fusion([Leaf(bm25_retriever(overflow_index)), Leaf(weighted_bm25_retriever(overflow_index))])
+        with pytest.raises(DataError, match="not finite") as err:
+            execute(node, qframe(("q1", f"#w({weight}) alpha")))
+        assert err.value.path == (1,)
+
     def test_custom_stage_returning_nan_fails_at_its_path(self, toy_index):
         def nan_scores(rel_in):
             return rel(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator
 
 from .errors import DataError, FlowrankError, InvalidK, ValidationError, WeightLengthMismatch
@@ -196,12 +196,9 @@ def _fuse(outputs: list[Relation], contributions: list[dict]) -> Relation:
         totals = list(map(math.fsum, zip(*(map(c.get, keys, repeat(0.0)) for c in contributions))))
     except (OverflowError, ValueError) as exc:
         raise DataError(f"scores do not sum to a finite number ({exc})") from None
-    cells: dict[str, tuple] = {}  # qid -> its cells in *lead*, from the first row holding it
+    cells: dict[str, tuple] = {}  # qid -> its cells in *lead*
     for out in outputs:
-        qids = out.column("qid")
-        for qid in dict.fromkeys(qids).keys() - cells.keys():
-            row = out.rows[qids.index(qid)]
-            cells[qid] = tuple(row[out.columns.index(c)] for c in lead)
-    heads = map(cells.__getitem__, map(itemgetter(0), keys))
-    rows = map(add, heads, zip(map(itemgetter(1), keys), totals))
+        for row in zip(*map(out.column, lead)):
+            cells.setdefault(row[0], row)
+    rows = [cells[qid] + (docno, total) for (qid, docno), total in zip(keys, totals)]
     return Relation._trusted(*rank_tuples(lead + ("docno", "score"), rows))

@@ -180,7 +180,7 @@ class Relation:
         object.__setattr__(rel, "rows", tuple(rows))
         kind = classify_frame(rel.columns)
         for name in _required(kind):
-            if _has_null(rel.rows, rel.columns.index(name)):
+            if None in map(operator.itemgetter(rel.columns.index(name)), rel.rows):
                 raise DataError(f"column {name!r} is required by its frame kind and may not be null")
         rel._check_keys(kind)
         return rel
@@ -194,8 +194,7 @@ class Relation:
         elif kind == FrameKind("D"):
             _unique(self.column("docno"), "docno")
         elif kind.base == "R" and {"qid", "docno"} <= names:
-            keys = operator.itemgetter(self.columns.index("qid"), self.columns.index("docno"))
-            _unique(list(map(keys, self.rows)), "(qid, docno)")
+            _unique(list(zip(self.column("qid"), self.column("docno"))), "(qid, docno)")
 
     def _check_ranks(self):
         scores = self.column("score")
@@ -252,11 +251,6 @@ def _unique(values: Sequence, label: str):
         seen.add(v)
 
 
-def _has_null(rows: Sequence[tuple], i: int) -> bool:
-    # all() is true unless a cell is falsy: only a null, empty or zero cell needs the exact test
-    return not all(map(operator.itemgetter(i), rows)) and None in map(operator.itemgetter(i), rows)
-
-
 def _check_scores(qids: Iterable, scores: Sequence) -> None:
     if None in scores or any(map(math.isnan, scores)):
         qid, score = next((q, s) for q, s in zip(qids, scores) if s is None or s != s)
@@ -268,26 +262,22 @@ def ordered(rows: Iterable[tuple], score: int, docno: int, qid: int | None = Non
 
     Every ranking the engine produces is ordered here, once.  *qid*,
     *score* and *docno* are positions in each row tuple; without *qid* the
-    rows are one ranking.  Stable sorts keyed in C, least significant key
-    first, give the order of one sort by ``(qid, -score, docno)``.  A null
-    qid or docno, or a null or NaN score, raises :class:`DataError`
-    before anything is sorted.
+    rows are one ranking.  Two stable sorts keyed in C give the order of
+    one sort by ``(qid, -score, docno)``: the row positions by a list of
+    ``(-score, docno)`` keys, then the rows by qid.  A null qid or docno,
+    or a null or NaN score, raises :class:`DataError` before anything is
+    sorted.
     """
     rows = list(rows)
-    if _has_null(rows, docno) or (qid is not None and _has_null(rows, qid)):
+    if None in map(operator.itemgetter(docno), rows) or (
+        qid is not None and None in map(operator.itemgetter(qid), rows)
+    ):
         raise DataError("a row with a null qid or docno cannot be ranked")
     qids = itertools.repeat(None) if qid is None else map(operator.itemgetter(qid), rows)
     scores = list(map(operator.itemgetter(score), rows))
     _check_scores(qids, scores)
-    # rows already in this order, such as the engine's rankings that reach
-    # fusion, stay as they are; scores that rise somewhere rule it out cheaply
-    if all(map(operator.ge, scores, scores[1:])):
-        qids = itertools.repeat(None) if qid is None else map(operator.itemgetter(qid), rows)
-        keys = list(zip(qids, map(operator.neg, scores), map(operator.itemgetter(docno), rows)))
-        if all(map(operator.le, keys, keys[1:])):
-            return rows
-    rows.sort(key=operator.itemgetter(docno))
-    rows.sort(key=operator.itemgetter(score), reverse=True)
+    keys = list(zip(map(operator.neg, scores), map(operator.itemgetter(docno), rows)))
+    rows = list(map(rows.__getitem__, sorted(range(len(rows)), key=keys.__getitem__)))
     if qid is not None:
         rows.sort(key=operator.itemgetter(qid))
     return rows

@@ -20,11 +20,10 @@ import os
 import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from itertools import chain
 
 from .algebra import PipelineNode, execute
-from .errors import BindError, FlowrankError, NotSatisfied, NotServable
-from .frames import KNOWN_COLUMN_TYPES, Relation, canonical_columns
+from .errors import BindError, DataError, FlowrankError, NotSatisfied, NotServable
+from .frames import Relation, canonical_columns
 from .inspect import output_columns
 
 PROTOCOL_VERSION = "2025-03-26"
@@ -100,27 +99,19 @@ class ServerConfig:
 
 def _json_value(value):
     if isinstance(value, float):
+        if not math.isfinite(value):  # JSON (RFC 8259) has no inf or nan
+            raise DataError(f"a result value is not finite ({value}), which JSON cannot carry")
         return float(f"{value:.6f}")
     if isinstance(value, tuple):
         return [_json_value(v) for v in value]
     return value
 
 
-def _finite(rel: Relation) -> bool:
-    """Whether every float in *rel* is finite: JSON (RFC 8259) has no inf or nan."""
-    for name in rel.columns:
-        kind = KNOWN_COLUMN_TYPES.get(name)
-        if kind in ("float64", "float-vector"):
-            cells = [v for v in rel.column(name) if v is not None]
-            if kind == "float-vector":
-                cells = list(chain.from_iterable(cells))
-            if not all(map(math.isfinite, cells)):
-                return False
-    return True
-
-
 def relation_to_json_rows(rel: Relation) -> list[dict]:
-    """Rows as flat JSON objects with canonical float formatting (6 decimals)."""
+    """Rows as flat JSON objects with canonical float formatting (6 decimals).
+
+    A float that is not finite raises :class:`DataError`.
+    """
     names = rel.columns
     return [{k: _json_value(v) for k, v in zip(names, row)} for row in rel.rows]
 
@@ -146,10 +137,6 @@ def _rpc_error(id_, code: int, message: str) -> dict:
 
 def _rpc_result(id_, result) -> dict:
     return {"jsonrpc": "2.0", "id": id_, "result": result}
-
-
-def _tool_error(id_, message: str) -> dict:
-    return _rpc_result(id_, {"content": [{"type": "text", "text": message}], "isError": True})
 
 
 class _Dispatcher:
@@ -229,15 +216,16 @@ class _Dispatcher:
             return _rpc_error(id_, INVALID_PARAMS, str(exc))
         try:
             result = execute(node, queries)
+            json_rows = relation_to_json_rows(result)
         except FlowrankError as exc:
-            return _tool_error(id_, str(exc))
-        if not _finite(result):
-            return _tool_error(id_, "the result holds a value that is not finite, which JSON cannot carry")
+            return _rpc_result(
+                id_, {"content": [{"type": "text", "text": str(exc)}], "isError": True}
+            )
         return _rpc_result(
             id_,
             {
                 "content": [{"type": "text", "text": relation_to_text(result)}],
-                "rows": relation_to_json_rows(result),
+                "rows": json_rows,
                 "isError": False,
             },
         )

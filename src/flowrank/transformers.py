@@ -19,7 +19,7 @@ from operator import add, getitem, is_, itemgetter
 from typing import Callable
 
 from .errors import DataError, EmptyQuery, MalformedWeightedQuery, MissingColumn
-from .frames import Relation, _has_null, join_on_docno, ordered, put_column, rank_tuples
+from .frames import Relation, join_on_docno, ordered, put_column, rank_tuples
 from .index import Index, adjacent_counts, tokenize
 
 
@@ -119,7 +119,7 @@ def _require_values(rel: Relation, who: str, *names: str) -> None:
     ``text``, so validation passes them; the stage that reads one cannot.
     """
     for name in names:
-        if _has_null(rel.rows, rel.columns.index(name)):
+        if None in map(itemgetter(rel.columns.index(name)), rel.rows):
             raise DataError(f"{who}: column {name!r} holds a null")
 
 

@@ -20,6 +20,8 @@ import os
 import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 
 from .algebra import PipelineNode, execute
 from .errors import BindError, DataError, FlowrankError, NotSatisfied, NotServable
@@ -116,27 +118,77 @@ def relation_to_json_rows(rel: Relation) -> list[dict]:
     return [{k: _json_value(v) for k, v in zip(names, row)} for row in rel.rows]
 
 
-def relation_to_text(rel: Relation) -> str:
-    """Human-readable tab-separated rendering for chat clients."""
-    names = rel.columns
-    lines = ["\t".join(names)]
-    for row in rel.rows:
-        cells = []
-        for value in row:
-            if isinstance(value, float):
-                cells.append(f"{value:.6f}")
-            else:
-                cells.append(str(value))
-        lines.append("\t".join(cells))
-    return "\n".join(lines)
+def _text_cell(value) -> str:
+    return f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
-def _rpc_error(id_, code: int, message: str) -> dict:
-    return {"jsonrpc": "2.0", "id": id_, "error": {"code": code, "message": message}}
+def _transposed(columns: list, n_rows: int):
+    """Rows of cells from *columns*; a relation without columns still has its rows."""
+    return zip(*columns) if columns else repeat((), n_rows)
 
 
-def _rpc_result(id_, result) -> dict:
-    return {"jsonrpc": "2.0", "id": id_, "result": result}
+def relation_to_text(rel: Relation, text_columns=None) -> str:
+    """Human-readable tab-separated rendering for chat clients.
+
+    *text_columns*, one list of cell strings per column, saves the reply
+    encoder formatting each cell twice.
+    """
+    if text_columns is None:
+        text_columns = [list(map(_text_cell, values)) for values in zip(*rel.rows)]
+    return "\n".join(["\t".join(rel.columns), *map("\t".join, _transposed(text_columns, len(rel.rows)))])
+
+
+def _encode_column(values: tuple) -> tuple[list[str], list[str]]:
+    """One column's (JSON cells, text cells), each cell formatted once.
+
+    A float is written ``%.6f``: as JSON that parses to exactly
+    ``float(f"{v:.6f}")``, the value :func:`relation_to_json_rows` gives.
+    Text is escaped as ``json.dumps`` escapes it, each distinct value once.
+    Any other column (float vectors, nulls among floats or ints, a float
+    that is not finite) goes through :func:`_json_value` cell by cell.
+    """
+    kinds = set(map(type, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        cells = list(map("%.6f".__mod__, values))
+        return cells, cells
+    if kinds == {int}:
+        cells = list(map(repr, values))
+        return cells, cells
+    if kinds <= {str, type(None)}:
+        distinct = set(values) - {None}
+        escaped = dict(zip(distinct, map(encode_basestring_ascii, distinct)))
+        escaped[None] = "null"
+        return list(map(escaped.__getitem__, values)), list(map(str, values))
+    return [json.dumps(_json_value(v)) for v in values], list(map(_text_cell, values))
+
+
+def _encode_result(id_, rel: Relation) -> bytes:
+    """The ``tools/call`` reply for *rel*, built column by column.
+
+    It parses to the same values as ``json.dumps`` of
+    :func:`relation_to_json_rows` and :func:`relation_to_text` in the
+    result envelope.  A float that is not finite raises :class:`DataError`.
+    """
+    try:
+        columns = list(map(_encode_column, zip(*rel.rows)))
+    except DataError:
+        relation_to_json_rows(rel)  # raises for the first value, in row order, that is not finite
+        raise
+    row = "{%s}" % ", ".join(encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name in rel.columns)
+    rows = ", ".join(map(row.__mod__, _transposed([cells for cells, _ in columns], len(rel.rows))))
+    text = encode_basestring_ascii(relation_to_text(rel, [cells for _, cells in columns]))
+    return (
+        '{"jsonrpc": "2.0", "id": %s, "result": {"content": [{"type": "text", "text": %s}], '
+        '"rows": [%s], "isError": false}}' % (json.dumps(id_), text, rows)
+    ).encode("ascii")
+
+
+def _rpc_error(id_, code: int, message: str) -> bytes:
+    return json.dumps({"jsonrpc": "2.0", "id": id_, "error": {"code": code, "message": message}}).encode("utf-8")
+
+
+def _rpc_result(id_, result) -> bytes:
+    return json.dumps({"jsonrpc": "2.0", "id": id_, "result": result}).encode("utf-8")
 
 
 class _Dispatcher:
@@ -149,15 +201,15 @@ class _Dispatcher:
                 raise ValueError(f"duplicate tool name {name!r}")
             self.tools[name] = (node, tool_descriptor(name, node, description))
 
-    def dispatch_bytes(self, body: bytes) -> dict | None:
+    def dispatch_bytes(self, body: bytes) -> bytes | None:
         try:
             request = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             return _rpc_error(None, PARSE_ERROR, "Parse error")
         return self.dispatch(request)
 
-    def dispatch(self, request) -> dict | None:
-        """The response to *request*, or None for a notification."""
+    def dispatch(self, request) -> bytes | None:
+        """The encoded response to *request*, or None for a notification."""
         if not isinstance(request, dict):
             return _rpc_error(None, INVALID_REQUEST, "Invalid Request")
         id_ = request.get("id")
@@ -189,7 +241,7 @@ class _Dispatcher:
         except Exception as exc:  # never drop the connection
             return _rpc_error(id_, INTERNAL_ERROR, f"Internal error: {exc}")
 
-    def _call(self, id_, params) -> dict:
+    def _call(self, id_, params) -> bytes:
         if not isinstance(params, dict):
             return _rpc_error(id_, INVALID_PARAMS, "params must be an object")
         name = params.get("name")
@@ -215,30 +267,23 @@ class _Dispatcher:
         except FlowrankError as exc:
             return _rpc_error(id_, INVALID_PARAMS, str(exc))
         try:
-            result = execute(node, queries)
-            json_rows = relation_to_json_rows(result)
+            return _encode_result(id_, execute(node, queries))
         except FlowrankError as exc:
             return _rpc_result(
                 id_, {"content": [{"type": "text", "text": str(exc)}], "isError": True}
             )
-        return _rpc_result(
-            id_,
-            {
-                "content": [{"type": "text", "text": relation_to_text(result)}],
-                "rows": json_rows,
-                "isError": False,
-            },
-        )
 
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = f"{SERVER_NAME}/{SERVER_VERSION}"
+    # TCP_NODELAY: the body's last partial segment is not held back behind
+    # the unacknowledged header segment
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):  # keep test output clean
         pass
 
-    def _send_json(self, payload: dict):
-        body = json.dumps(payload).encode("utf-8")
+    def _send_json(self, body: bytes):
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

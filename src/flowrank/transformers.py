@@ -227,12 +227,20 @@ def parse_weighted_query(query: str) -> list[tuple[str, float, list[str]]]:
 # --------------------------------------------------------------------------
 
 
-def _score_groups(index: Index, params: Bm25Params, groups) -> list[tuple[str, float]]:
+def _length_norms(index: Index, params: Bm25Params) -> dict[int, float]:
+    """BM25's length norm of each distinct document length in *index*."""
+    avgdl, k1, b = index.avg_doc_len, params.k1, params.b
+    # avgdl is 0 only when no document has a token, and then nothing matches
+    return {dl: k1 * (1.0 - b + b * dl / avgdl) for dl in set(index.doc_lens())} if avgdl else {}
+
+
+def _score_groups(index: Index, params: Bm25Params, groups, norms=None) -> list[tuple[str, float]]:
     """Score every matching document; returns the top (docno, score) pairs.
 
-    Term at a time, one list comprehension per term or window: its idf, and
-    the length norm of each distinct document length, are computed once per
-    call.  A document matched by one term or window keeps its weighted part
+    Term at a time, one list comprehension per term or window: its idf is
+    computed once per call, and the length norm of each distinct document
+    length is read from *norms* (:func:`_length_norms`, built here when not
+    given).  A document matched by one term or window keeps its weighted part
     as a bare float; only documents matched more than once get a list of
     parts, summed by ``fsum`` in query order.  The documents are sorted
     once by score; the cut keeps the first ``num_results`` and every
@@ -248,10 +256,9 @@ def _score_groups(index: Index, params: Bm25Params, groups) -> list[tuple[str, f
         else:
             t1, t2 = tokens
             plists.append((weight, *adjacent_counts(index.columns(t1), index.columns(t2))))
-    n_docs, avgdl, doc_lens = index.n_docs, index.avg_doc_len, index.doc_lens()
-    k1, b = params.k1, params.b
-    # avgdl is 0 only when no document has a token, and then nothing matches
-    norms = {dl: k1 * (1.0 - b + b * dl / avgdl) for dl in set(doc_lens)} if avgdl else {}
+    n_docs, doc_lens, k1 = index.n_docs, index.doc_lens(), params.k1
+    if norms is None:
+        norms = _length_norms(index, params)
     # a document's one part, or the last of its parts while shared holds them all
     scores: dict[int, float] = {}
     shared: dict[int, list[float]] = {}  # documents matched more than once
@@ -285,7 +292,10 @@ def _score_groups(index: Index, params: Bm25Params, groups) -> list[tuple[str, f
 
 
 def _retrieval_fn(index: Index, params: Bm25Params, weighted: bool):
+    norms = None  # built at the first call, when the index is loaded
+
     def fn(rel: Relation) -> Relation:
+        nonlocal norms
         _require_values(rel, "wbm25" if weighted else "bm25", "query")
         # retrievers re-derive state: one retrieval per distinct qid, taking
         # the first query seen for it, regardless of how many rows carry it
@@ -300,8 +310,10 @@ def _retrieval_fn(index: Index, params: Bm25Params, weighted: bool):
                 groups = parse_weighted_query(query)
             else:
                 groups = [("w", 1.0, tokenize(query))]
+            if norms is None:
+                norms = _length_norms(index, params)
             # (qid, query) + (docno, score) + (rank,), ranked by position
-            top = map(add, repeat((qid, query)), _score_groups(index, params, groups))
+            top = map(add, repeat((qid, query)), _score_groups(index, params, groups, norms))
             rows += map(add, top, zip(count()))
         return Relation._trusted(_RETRIEVER_OUT, rows)
 

@@ -19,7 +19,8 @@ from flowrank.algebra import execute
 from flowrank.dsl import elaborate, parse
 from flowrank.frames import Relation, rank_tuples, sort_and_rank
 from flowrank.index import _TOKEN, build_index, count_adjacent, load_index, tokenize
-from flowrank.transformers import Bm25Params, _score_groups, lexical_rescorer, registry
+from flowrank import transformers
+from flowrank.transformers import Bm25Params, _length_norms, _score_groups, lexical_rescorer, registry
 
 
 def oracle_tokenize(text):
@@ -151,6 +152,20 @@ def test_index_without_tokens_matches_nothing(tmp_path):
     index = load_index(tmp_path / "ix")
     assert index.avg_doc_len == 0.0
     assert _score_groups(index, Bm25Params(), [("w", 1.0, ["a"])]) == []
+
+
+def test_retriever_builds_its_length_norms_once(tmp_path, monkeypatch):
+    build_index([("d1", "a b"), ("d2", "a c c"), ("d3", "c")], tmp_path / "ix")
+    index = load_index(tmp_path / "ix")
+    node = elaborate(parse("bm25"), registry(index))
+    built = []
+    monkeypatch.setattr(transformers, "_length_norms", lambda *args: built.append(args) or _length_norms(*args))
+    queries = Relation.from_dicts([{"qid": "q1", "query": "a"}, {"qid": "q2", "query": "c"}], ["qid", "query"])
+    first, second = execute(node, queries), execute(node, queries)
+    assert len(built) == 1
+    assert first == second
+    fresh = _score_groups(index, Bm25Params(), [("w", 1.0, ["c"])])
+    assert bits([row[2:4] for row in second.rows if row[0] == "q2"]) == bits(fresh)
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,18 @@ import socket
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowrank.algebra import Leaf, execute, then
 from flowrank.dsl import elaborate, parse
-from flowrank.errors import BindError, NotServable
-from flowrank.frames import Relation
+from flowrank.errors import BindError, DataError, NotServable
+from flowrank.frames import KNOWN_COLUMN_TYPES, Relation, canonical_columns
 from flowrank.mcp import (
     ServerConfig,
+    _Dispatcher,
     relation_to_json_rows,
+    relation_to_text,
     serve,
     tool_descriptor,
 )
@@ -273,3 +277,110 @@ class TestServeLifecycle:
         with concurrent.futures.ThreadPoolExecutor(8) as pool:
             bodies = list(pool.map(lambda _: json.dumps(rpc(server.url, payload)), range(16)))
         assert len(set(bodies)) == 1
+
+
+# ---------------------------------------------------------------------------
+# The column-wise tools/call encoder against the per-cell reference
+# ---------------------------------------------------------------------------
+
+_TEXTS = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["", '"', "\\", "\x00", "\x1f\n\t", "\u2028", "\u0085", "é", "\U0001f600", "%", "%s", "100%"]),
+)
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-5, 1e-7, 1e16, 1e300, -2.5, -1e-7]),
+)
+_EXTRA_NAMES = st.lists(
+    st.one_of(st.sampled_from(["x%", "%s", "a%%b", "%(q)s", "ü", 'say "hi"']), st.text(min_size=1, max_size=4)),
+    max_size=2,
+    unique=True,
+)
+
+
+@st.composite
+def _free_relations(draw):
+    """No qid or docno: no keys, required columns or ranks, so any cell may be null."""
+    known = draw(st.lists(st.sampled_from(["query", "query_vec", "text", "score", "rank"]), unique=True))
+    extras = [n for n in draw(_EXTRA_NAMES) if n not in KNOWN_COLUMN_TYPES]
+    columns = canonical_columns(known + extras)
+    cell = {
+        "score": _FLOATS,
+        "rank": st.integers(-(2**63), 2**63 - 1),
+        "query_vec": st.lists(_FLOATS, max_size=3),
+    }
+    rows = draw(
+        st.lists(st.tuples(*(st.one_of(st.none(), cell.get(name, _TEXTS)) for name in columns)), max_size=6)
+    )
+    return Relation(columns, rows)
+
+
+@st.composite
+def _ranked_relations(draw):
+    """An R frame for one qid, ranked by its scores."""
+    extras = [n for n in draw(_EXTRA_NAMES) if n not in KNOWN_COLUMN_TYPES]
+    scores = sorted(draw(st.lists(_FLOATS, max_size=6)), reverse=True)
+    docnos = draw(st.lists(_TEXTS, min_size=len(scores), max_size=len(scores), unique=True))
+    qid, query = draw(_TEXTS), draw(_TEXTS)
+    cells = [draw(st.tuples(*(st.one_of(st.none(), _TEXTS) for _ in extras))) for _ in scores]
+    columns = ("qid", "query", "docno", "score", "rank", *extras)
+    return Relation(columns, [(qid, query, d, s, r, *x) for r, (d, s, x) in enumerate(zip(docnos, scores, cells))])
+
+
+def _float_bits(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, list):
+        return list(map(_float_bits, value))
+    if isinstance(value, dict):
+        return {k: _float_bits(v) for k, v in value.items()}
+    return value
+
+
+def _call_returning(rel, id_) -> bytes:
+    """The reply to one tools/call to a tool whose pipeline returns *rel*."""
+    stage = Transformer("fixed", "returns a fixed relation", (), spec({"qid", "query"}, rel.columns), lambda _: rel)
+    dispatcher = _Dispatcher(ServerConfig(pipelines={"t": (Leaf(stage), "d")}))
+    request = {
+        "jsonrpc": "2.0", "id": id_, "method": "tools/call",
+        "params": {"name": "t", "arguments": {"queries": [{"qid": "q1", "query": "fox"}]}},
+    }
+    return dispatcher.dispatch(request)
+
+
+class TestReplyEncoding:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(rel=st.one_of(_free_relations(), _ranked_relations()), id_=st.one_of(st.none(), st.integers(), _TEXTS))
+    def test_reply_parses_to_the_per_cell_payload(self, rel, id_):
+        reply = json.loads(_call_returning(rel, id_), parse_constant=_no_constant)
+        assert reply["jsonrpc"] == "2.0" and reply["id"] == id_
+        result = reply["result"]
+        assert result["isError"] is False
+        expected = relation_to_json_rows(rel)
+        assert result["rows"] == expected
+        assert _float_bits(result["rows"]) == _float_bits(expected)
+        assert [list(row) for row in result["rows"]] == [list(rel.columns)] * len(rel.rows)
+        assert result["content"] == [{"type": "text", "text": relation_to_text(rel)}]
+
+    def test_rows_and_text_share_six_decimal_floats(self):
+        rel = Relation(("qid", "docno", "score", "rank"), [("q1", "d1", 12.3456, 0), ("q1", "d2", -0.0, 1)])
+        body = _call_returning(rel, 1)
+        assert b'"score": 12.345600' in body and b'"score": -0.000000' in body
+        assert b"d1\\t12.345600\\t0" in body
+
+    @pytest.mark.parametrize(
+        "columns, rows",
+        [
+            (("qid", "docno", "score", "rank"), [("q1", "d1", math.inf, 0), ("q1", "d2", 1.0, 1)]),
+            # the first value in row order, not in column order, names the error
+            (("query_vec", "score"), [((1.0,), math.inf), ((math.nan,), 1.0)]),
+            (("query_vec", "score"), [(None, 1.0), ((1.0,), -math.inf)]),
+        ],
+    )
+    def test_non_finite_value_is_tool_error(self, columns, rows):
+        rel = Relation(columns, rows)
+        with pytest.raises(DataError) as reference:
+            relation_to_json_rows(rel)
+        result = json.loads(_call_returning(rel, 3), parse_constant=_no_constant)["result"]
+        assert result["isError"] is True
+        assert result["content"] == [{"type": "text", "text": str(reference.value)}]

@@ -234,20 +234,19 @@ def _length_norms(index: Index, params: Bm25Params) -> dict[int, float]:
     return {dl: k1 * (1.0 - b + b * dl / avgdl) for dl in set(index.doc_lens())} if avgdl else {}
 
 
-def _score_groups(index: Index, params: Bm25Params, groups, norms=None) -> list[tuple[str, float]]:
+def _score_groups(index: Index, params: Bm25Params, groups, norms: dict[int, float]) -> list[tuple[str, float]]:
     """Score every matching document; returns the top (docno, score) pairs.
 
     Term at a time, one list comprehension per term or window: its idf is
     computed once per call, and the length norm of each distinct document
-    length is read from *norms* (:func:`_length_norms`, built here when not
-    given).  A document matched by one term or window keeps its weighted part
-    as a bare float; only documents matched more than once get a list of
-    parts, summed by ``fsum`` in query order.  The documents are sorted
-    once by score; the cut keeps the first ``num_results`` and every
-    document tied with the last of them, and only those are put in
-    ranking order, by :func:`~flowrank.frames.ordered`.  A score that is
-    not finite, which only a weight near ``1e308`` can cause, raises
-    :class:`DataError`.
+    length is read from *norms* (:func:`_length_norms`).  A document
+    matched by one term or window keeps its weighted part as a bare float;
+    only documents matched more than once get a list of parts, summed by
+    ``fsum`` in query order.  The documents are sorted once by score; the
+    cut keeps the first ``num_results`` and every document tied with the
+    last of them, and only those are put in ranking order, by
+    :func:`~flowrank.frames.ordered`.  A score that is not finite, which
+    only a weight near ``1e308`` can cause, raises :class:`DataError`.
     """
     plists = []  # (weight, doc_ids, tfs) per term or window
     for kind, weight, tokens in groups:
@@ -257,8 +256,6 @@ def _score_groups(index: Index, params: Bm25Params, groups, norms=None) -> list[
             t1, t2 = tokens
             plists.append((weight, *adjacent_counts(index.columns(t1), index.columns(t2))))
     n_docs, doc_lens, k1 = index.n_docs, index.doc_lens(), params.k1
-    if norms is None:
-        norms = _length_norms(index, params)
     # a document's one part, or the last of its parts while shared holds them all
     scores: dict[int, float] = {}
     shared: dict[int, list[float]] = {}  # documents matched more than once

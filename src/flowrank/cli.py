@@ -4,22 +4,28 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 from pathlib import Path
 
 from . import inspect as fr_inspect
 from .algebra import execute
 from .dsl import elaborate, parse, render
 from .errors import FlowrankError, cols_str, path_str
-from .frames import format_trec_run, read_topics
-from .index import build_index, load_index, read_corpus
+from .frames import read_topics, trec_lines
+from .index import build_index, load_index, read_corpus, text_lines
 from .mcp import ServerConfig, serve
 from .schematic import build_schematic, render_html, render_text
 from .transformers import registry
 
 
+# lines per write of a TREC run: a write per line is a system call per line
+# when stdout is unbuffered, one write in all holds the whole run twice
+TREC_CHUNK_LINES = 4096
+
+
 def _pipeline_source(arg: str) -> str:
     if arg.startswith("@"):
-        return Path(arg[1:]).read_text(encoding="utf-8")
+        return "".join(line for _, line in text_lines(arg[1:]))
     return arg
 
 
@@ -48,7 +54,9 @@ def cmd_search(args) -> int:
         raise FlowrankError(
             f"pipeline output is not a ranking: missing columns {cols_str(missing)}"
         )
-    sys.stdout.write(format_trec_run(result, args.tag))
+    lines = trec_lines(result, args.tag)
+    while chunk := "".join(islice(lines, TREC_CHUNK_LINES)):
+        sys.stdout.write(chunk)
     return 0
 
 

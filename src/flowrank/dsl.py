@@ -19,6 +19,7 @@ Both operators are left-associative; in a sum, a bare term gets weight 1.0.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from functools import reduce
@@ -105,7 +106,10 @@ def _lex(src: str) -> list[Token]:
         m = _NUMBER.match(src, i)
         if m:
             text = m.group(0)
-            value = float(text) if ("." in text or "e" in text or "E" in text) else int(text)
+            try:
+                value = float(text) if ("." in text or "e" in text or "E" in text) else int(text)
+            except ValueError:  # more digits than int() converts
+                raise ParseError(line, col, f"integer literal of {len(text)} digits is too long") from None
             tokens.append(Token("NUMBER", text, value, line, col))
             i = m.end()
             col += len(text)
@@ -120,7 +124,11 @@ def _lex(src: str) -> list[Token]:
         m = _STRING.match(src, i)
         if m:
             text = m.group(0)
-            tokens.append(Token("STRING", text, json.loads(text), line, col))
+            try:
+                value = json.loads(text)
+            except json.JSONDecodeError as exc:  # an escape or control character JSON does not allow
+                raise ParseError(line, col, f"bad string literal: {exc.msg}") from None
+            tokens.append(Token("STRING", text, value, line, col))
             i = m.end()
             col += len(text)
             continue
@@ -151,6 +159,13 @@ class _Parser:
     def error(self, detail: str, expected=()) -> ParseError:
         tok = self.peek()
         return ParseError(tok.line, tok.col, detail, expected)
+
+    @staticmethod
+    def float_of(tok: Token) -> float:
+        try:
+            return float(tok.value)
+        except OverflowError:  # an integer literal beyond the floats
+            raise ParseError(tok.line, tok.col, f"number {tok.text} is too large for a float") from None
 
     def expect_op(self, op: str) -> Token:
         tok = self.peek()
@@ -187,8 +202,11 @@ class _Parser:
     def parse_term(self) -> tuple[float | None, PipelineExpr]:
         if self.peek().kind == "NUMBER":
             tok = self.advance()
+            weight = self.float_of(tok)
+            if not math.isfinite(weight):
+                raise ParseError(tok.line, tok.col, f"weight {tok.text} is not a finite number")
             self.expect_op("*")
-            return float(tok.value), self.parse_atom()
+            return weight, self.parse_atom()
         return None, self.parse_atom()
 
     def parse_atom(self) -> PipelineExpr:
@@ -227,7 +245,7 @@ class _Parser:
                 if num.kind != "NUMBER":
                     raise self.error(f"got {num.text!r}", expected={"FLOAT"})
                 self.advance()
-                k = float(num.value)
+                k = self.float_of(num)
                 break
             children.append(self.parse_pipeline())
         if len(children) < 2:
@@ -277,9 +295,7 @@ def elaborate(expr: PipelineExpr, registry: Registry) -> PipelineNode:
             raise UnknownTransformer(expr.name)
         try:
             transformer = factory(**dict(expr.kwargs))
-        except TypeError as exc:
-            raise BadArgument(expr.name, str(exc)) from exc
-        except ValueError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise BadArgument(expr.name, str(exc)) from exc
         return Leaf(transformer, ref=(expr.name, expr.kwargs))
     if isinstance(expr, EThen):

@@ -63,7 +63,7 @@ class UnknownDocno(FlowrankError):
 
 
 class FormatError(FlowrankError):
-    """An input file (topics TSV, corpus JSONL) could not be parsed."""
+    """An input file (topics TSV, corpus JSONL, pipeline) could not be read or parsed."""
 
 
 class DuplicateDocno(FlowrankError):

@@ -17,7 +17,6 @@ order.
 from __future__ import annotations
 
 import collections
-import io
 import itertools
 import math
 import operator
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError, FormatError, MissingColumn, UnknownDocno
-from .index import Index
+from .index import Index, text_lines
 
 # Types of the well-known data-model columns; any other column holds text.
 KNOWN_COLUMN_TYPES = {
@@ -194,7 +193,7 @@ class Relation:
         elif kind == FrameKind("D"):
             _unique(self.column("docno"), "docno")
         elif kind.base == "R" and {"qid", "docno"} <= names:
-            _unique(list(zip(self.column("qid"), self.column("docno"))), "(qid, docno)")
+            _unique_pairs(self.rows, self.columns.index("qid"), self.columns.index("docno"))
 
     def _check_ranks(self):
         scores = self.column("score")
@@ -242,13 +241,33 @@ def _required(kind: FrameKind) -> frozenset[str]:
 
 
 def _unique(values: Sequence, label: str):
-    if len(set(values)) == len(values):
-        return
+    if len(set(values)) != len(values):
+        _first_repeat(values, label)
+
+
+def _first_repeat(values: Iterable, label: str):
+    """Raise :class:`DataError` for the first of *values* seen before."""
     seen = set()
     for v in values:
         if v in seen:
             raise DataError(f"duplicate {label} value {v!r} violates the frame primary key")
         seen.add(v)
+
+
+def _unique_pairs(rows: Sequence[tuple], qid: int, docno: int):
+    """Check that no two *rows* share a ``(qid, docno)`` key, for rows in any order.
+
+    Each run of equal qids adds its docnos to that qid's set, so no pair is
+    built: the key is unique exactly when the sets hold as many docnos as
+    there are rows.  Only otherwise are the pairs walked, in row order, to
+    name the first repeat.
+    """
+    by_qid, by_docno = operator.itemgetter(qid), operator.itemgetter(docno)
+    docnos = collections.defaultdict(set)
+    for q, run in itertools.groupby(rows, by_qid):
+        docnos[q].update(map(by_docno, run))
+    if sum(map(len, docnos.values())) != len(rows):
+        _first_repeat(zip(map(by_qid, rows), map(by_docno, rows)), "(qid, docno)")
 
 
 def _check_scores(qids: Iterable, scores: Sequence) -> None:
@@ -353,29 +372,38 @@ def join_on_docno(left: Relation, docs) -> Relation:
 
 
 def read_topics(path) -> Relation:
-    """Read a UTF-8 TSV topics file (``qid<TAB>query`` per line) as a Q frame."""
+    """Read a UTF-8 TSV topics file (``qid<TAB>query`` per line) as a Q frame.
+
+    A file that cannot be read, or holds a byte that is not UTF-8, raises
+    :class:`FormatError` (see :func:`~flowrank.index.text_lines`).
+    """
     rows = []
-    with io.open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise FormatError(f"{path}:{lineno}: expected qid<TAB>query")
-            qid, query = line.split("\t", 1)
-            rows.append({"qid": qid, "query": query})
+    for lineno, line in text_lines(path):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line:
+            continue
+        if "\t" not in line:
+            raise FormatError(f"{path}:{lineno}: expected qid<TAB>query")
+        qid, query = line.split("\t", 1)
+        rows.append({"qid": qid, "query": query})
     return Relation.from_dicts(rows, ["qid", "query"])
 
 
-def format_trec_run(rel: Relation, tag: str = "flowrank") -> str:
-    """Render a ranked relation in TREC run format.
+def trec_lines(rel: Relation, tag: str = "flowrank") -> Iterator[str]:
+    """The TREC run lines of a ranked relation, formatted as they are read.
 
     One line per row: ``qid Q0 docno rank score tag`` with the 0-based rank
-    and the score printed with six decimal places.
+    and the score printed with six decimal places.  A missing column raises
+    :class:`MissingColumn` here, before any line is formatted.
     """
     present = set(rel.columns)
     needed = {"qid", "docno", "score", "rank"}
     if not needed <= present:
         raise MissingColumn(needed - present, needed, present, who="format_trec_run")
     q, d, r, s = map(rel.columns.index, ("qid", "docno", "rank", "score"))
-    return "".join(f"{row[q]} Q0 {row[d]} {row[r]} {row[s]:.6f} {tag}\n" for row in rel.rows)
+    return (f"{row[q]} Q0 {row[d]} {row[r]} {row[s]:.6f} {tag}\n" for row in rel.rows)
+
+
+def format_trec_run(rel: Relation, tag: str = "flowrank") -> str:
+    """Render a ranked relation in TREC run format: :func:`trec_lines` joined."""
+    return "".join(trec_lines(rel, tag))

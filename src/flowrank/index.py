@@ -85,20 +85,51 @@ def _dumps(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
+def text_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number from 1, line) for each line of a UTF-8 text file.
+
+    Lines are split as text-mode reading splits them.  A file that cannot
+    be opened or read raises :class:`FormatError` naming the path; a byte
+    that is not UTF-8 raises one naming the path and the byte's line.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError:
+        raise FormatError(_not_utf8(path)) from None
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def _not_utf8(path) -> str:
+    # the decoder fails on a whole buffer, not a line: find the first bad
+    # byte again and count the line breaks text-mode reading sees before it
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = 1 + len(re.findall("\r\n|\r|\n", data[: exc.start].decode("utf-8")))
+        return f"{path}:{lineno}: byte 0x{data[exc.start]:02x} is not UTF-8"
+    return f"{path}: not UTF-8"
+
+
 def read_corpus(path) -> Iterator[tuple[str, str]]:
-    """Iterate (docno, text) pairs from a JSONL corpus file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict) or "docno" not in obj or "text" not in obj:
-                raise FormatError(f"{path}:{lineno}: expected an object with docno and text")
-            yield str(obj["docno"]), str(obj["text"])
+    """Iterate (docno, text) pairs from a JSONL corpus file.
+
+    A damaged file raises :class:`FormatError` naming the path and, where
+    there is one, the line.
+    """
+    for lineno, line in text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict) or "docno" not in obj or "text" not in obj:
+            raise FormatError(f"{path}:{lineno}: expected an object with docno and text")
+        yield str(obj["docno"]), str(obj["text"])
 
 
 def build_index(corpus: Iterable[tuple[str, str]], out_dir) -> IndexStats:

@@ -6,10 +6,11 @@ input JSON Schema and advertised output columns) is derived from static
 inspection, so a listed tool is guaranteed executable from a query batch.
 Per-request failures are JSON-RPC responses, never dropped connections;
 pipeline execution errors come back as ``isError: true`` tool results.  A
-body longer than ``MAX_BODY_BYTES`` is refused unread.  A
-notification (a request without an ``id``, such as
+body longer than ``MAX_BODY_BYTES`` is refused unread.  A request whose
+``id`` is not a string, a finite number or null is invalid and is answered
+with ``id: null``.  A notification (a request without an ``id``, such as
 ``notifications/initialized``) gets HTTP 202, an empty body and no
-JSON-RPC response.
+JSON-RPC response.  The HTTP stack is imported only by :func:`serve`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
@@ -191,6 +191,14 @@ def _rpc_result(id_, result) -> bytes:
     return json.dumps({"jsonrpc": "2.0", "id": id_, "result": result}).encode("utf-8")
 
 
+def _valid_id(id_) -> bool:
+    """A string, a finite number or null: JSON-RPC 2.0 section 4 allows no
+    other id, and only a finite number can be echoed back as JSON."""
+    if isinstance(id_, float):
+        return math.isfinite(id_)
+    return id_ is None or isinstance(id_, str) or (isinstance(id_, int) and not isinstance(id_, bool))
+
+
 class _Dispatcher:
     """Protocol logic, independent of the HTTP plumbing for testability."""
 
@@ -204,13 +212,16 @@ class _Dispatcher:
     def dispatch_bytes(self, body: bytes) -> bytes | None:
         try:
             request = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+        except (ValueError, RecursionError):
+            # ValueError covers bad UTF-8, bad JSON and an integer literal
+            # longer than int() accepts; RecursionError, arrays nested deeper
+            # than the decoder recurses
             return _rpc_error(None, PARSE_ERROR, "Parse error")
         return self.dispatch(request)
 
     def dispatch(self, request) -> bytes | None:
         """The encoded response to *request*, or None for a notification."""
-        if not isinstance(request, dict):
+        if not isinstance(request, dict) or not _valid_id(request.get("id")):
             return _rpc_error(None, INVALID_REQUEST, "Invalid Request")
         id_ = request.get("id")
         if request.get("jsonrpc") != "2.0" or not isinstance(request.get("method"), str):
@@ -274,64 +285,10 @@ class _Dispatcher:
             )
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = f"{SERVER_NAME}/{SERVER_VERSION}"
-    # TCP_NODELAY: the body's last partial segment is not held back behind
-    # the unacknowledged header segment
-    disable_nagle_algorithm = True
-
-    def log_message(self, fmt, *args):  # keep test output clean
-        pass
-
-    def _send_json(self, body: bytes):
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_POST(self):
-        if self.path != "/mcp":
-            self.send_error(404, "only POST /mcp is served")
-            return
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = -1
-        if length < 0:
-            # rfile.read(-1) would block until the client closes
-            self._send_json(_rpc_error(None, INVALID_REQUEST, "Invalid Request: bad Content-Length"))
-            return
-        if length > MAX_BODY_BYTES:
-            self._send_json(
-                _rpc_error(None, INVALID_REQUEST, f"Invalid Request: body exceeds {MAX_BODY_BYTES} bytes")
-            )
-            return
-        body = self.rfile.read(length)
-        response = self.server.dispatcher.dispatch_bytes(body)
-        if response is None:
-            self.send_response(202)
-            self.send_header("Content-Length", "0")
-            self.end_headers()
-            return
-        self._send_json(response)
-
-    def do_GET(self):
-        self.send_error(404, "only POST /mcp is served")
-
-
-class _Server(ThreadingHTTPServer):
-    daemon_threads = True
-
-    def __init__(self, address, dispatcher: _Dispatcher):
-        super().__init__(address, _Handler)
-        self.dispatcher = dispatcher
-
-
 class ServerHandle:
     """A running MCP server; close() stops it. Usable as a context manager."""
 
-    def __init__(self, httpd: _Server, thread: threading.Thread):
+    def __init__(self, httpd, thread: threading.Thread):
         self._httpd = httpd
         self._thread = thread
 
@@ -369,15 +326,18 @@ def serve(config: ServerConfig) -> ServerHandle:
     The ``FLOWRANK_MCP_PORT`` environment variable overrides the configured
     port.  Raises :class:`BindError` if the address cannot be bound and
     :class:`NotServable` if a registered pipeline cannot run from a query
-    frame.
+    frame.  The HTTP stack is imported here, on the first call, not with
+    this module.
     """
+    from ._mcp_http import Server
+
     dispatcher = _Dispatcher(config)
     port = config.port
     env_port = os.environ.get("FLOWRANK_MCP_PORT")
     if env_port:
         port = int(env_port)
     try:
-        httpd = _Server((config.host, port), dispatcher)
+        httpd = Server((config.host, port), dispatcher)
     except OSError as exc:
         raise BindError(config.host, port, str(exc)) from exc
     thread = threading.Thread(target=httpd.serve_forever, name="flowrank-mcp", daemon=True)

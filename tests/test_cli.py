@@ -2,7 +2,12 @@ import json
 
 import pytest
 
+from flowrank.algebra import execute
 from flowrank.cli import main
+from flowrank.dsl import elaborate, parse
+from flowrank.frames import format_trec_run, read_topics
+from flowrank.index import load_index
+from flowrank.transformers import registry
 
 from conftest import TOY5
 
@@ -67,6 +72,57 @@ class TestSearchCommand:
         )
         assert code == 1
         assert "not a ranking" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("chunk", [1, 4, 6, 7])
+    def test_chunked_run_equals_format_trec_run(self, workspace, capsys, monkeypatch, chunk):
+        # 6 lines: chunks of 1 and 6 divide them, 4 leaves a partial last chunk, 7 is one chunk
+        monkeypatch.setattr("flowrank.cli.TREC_CHUNK_LINES", chunk)
+        expr = "sdm >> wbm25"
+        assert main(["search", "--index", "ix", "--pipeline", expr, "--topics", "topics.tsv"]) == 0
+        out = capsys.readouterr().out
+        node = elaborate(parse(expr), registry(load_index("ix")))
+        expected = format_trec_run(execute(node, read_topics("topics.tsv")), "flowrank")
+        assert len(expected.splitlines()) == 6
+        assert out.encode("utf-8") == expected.encode("utf-8")
+
+
+class TestDamagedInputs:
+    """An unreadable input file is a domain error naming it: exit 1, no traceback."""
+
+    def _fails_naming(self, capsys, argv, *parts):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        for part in parts:
+            assert part in captured.err
+
+    def test_topics_not_utf8(self, workspace, capsys):
+        (workspace / "bad.tsv").write_bytes(b"q1\tquick fox\r\nq2\tlazy\xff dog\n")
+        argv = ["search", "--index", "ix", "--pipeline", "bm25", "--topics", "bad.tsv"]
+        self._fails_naming(capsys, argv, "bad.tsv:2:", "0xff", "not UTF-8")
+
+    def test_topics_missing(self, workspace, capsys):
+        argv = ["search", "--index", "ix", "--pipeline", "bm25", "--topics", "nosuch.tsv"]
+        self._fails_naming(capsys, argv, "cannot read nosuch.tsv")
+
+    def test_corpus_not_utf8(self, workspace, capsys):
+        good = json.dumps({"docno": "d1", "text": "a"}).encode()
+        (workspace / "bad.jsonl").write_bytes(good + b"\n" + good.replace(b"d1", b"d\xc3") + b"\n")
+        argv = ["index", "--corpus", "bad.jsonl", "--out", "ix2"]
+        self._fails_naming(capsys, argv, "bad.jsonl:2:", "0xc3", "not UTF-8")
+
+    def test_corpus_missing(self, workspace, capsys):
+        self._fails_naming(capsys, ["index", "--corpus", "nosuch.jsonl", "--out", "ix2"], "cannot read nosuch.jsonl")
+
+    def test_pipeline_file_missing(self, workspace, capsys):
+        argv = ["search", "--index", "ix", "--pipeline", "@nosuch.txt", "--topics", "topics.tsv"]
+        self._fails_naming(capsys, argv, "cannot read nosuch.txt")
+
+    def test_pipeline_file_not_utf8(self, workspace, capsys):
+        (workspace / "pipe.txt").write_bytes(b"bm25 >>\n\xe9")
+        argv = ["search", "--index", "ix", "--pipeline", "@pipe.txt", "--topics", "topics.tsv"]
+        self._fails_naming(capsys, argv, "pipe.txt:2:", "0xe9")
 
 
 class TestValidateCommand:

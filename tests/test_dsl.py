@@ -84,6 +84,24 @@ class TestElaborate:
         with pytest.raises(InvalidK):
             elaborate(parse("rrf(bm25, bm25, k=1e999)"), toy_registry)
 
+    @pytest.mark.parametrize(
+        "source, detail",
+        [
+            ("bm25(num_results=" + "9" * 5000 + ")", "integer literal of 5000 digits is too long"),
+            ('bm25(s="\\x")', "bad string literal"),
+            ("1e999*bm25 + bm25", "weight 1e999 is not a finite number"),
+            ("1" + "0" * 400 + "*bm25 + bm25", "too large for a float"),
+            ("rrf(bm25, bm25, k=1" + "0" * 400 + ")", "too large for a float"),
+        ],
+    )
+    def test_literal_without_a_value_is_a_parse_error(self, source, detail):
+        with pytest.raises(ParseError, match=detail):
+            parse(source)
+
+    def test_integer_argument_beyond_the_floats_is_bad_argument(self, toy_registry):
+        with pytest.raises(BadArgument):
+            elaborate(parse("bm25(k1=1" + "0" * 400 + ")"), toy_registry)
+
     def test_chain_flattens(self, toy_registry):
         node = elaborate(parse("(bm25 >> text_loader) >> rescore"), toy_registry)
         assert isinstance(node, Then) and len(node.children) == 3

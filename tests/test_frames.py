@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowrank.errors import DataError, FormatError, MissingColumn, UnknownDocno
 from flowrank.frames import (
@@ -72,6 +74,33 @@ class TestRelationInvariants:
         ]
         with pytest.raises(DataError):
             rel(rows, ["qid", "docno", "score", "rank"])
+
+    @pytest.mark.parametrize("trusted", [False, True])
+    def test_duplicate_pair_across_non_adjacent_qid_runs(self, trusted):
+        rows = [("q1", "d1", 3.0, 0), ("q1", "d2", 2.0, 1), ("q2", "d1", 1.0, 0), ("q1", "d2", 0.5, 2)]
+        columns = ("qid", "docno", "score", "rank")
+        build = Relation._trusted if trusted else Relation
+        with pytest.raises(DataError) as err:
+            build(columns, rows)
+        assert str(err.value) == "duplicate (qid, docno) value ('q1', 'd2') violates the frame primary key"
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(pairs=st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from("xyz")), max_size=9))
+    def test_pair_key_agrees_with_a_set_of_pairs_in_any_row_order(self, pairs):
+        # _trusted checks keys but not ranks, so any row order will do
+        columns, rows = ("qid", "docno", "score", "rank"), [(q, d, 1.0, 0) for q, d in pairs]
+        seen, repeat = set(), None
+        for pair in pairs:
+            if pair in seen:
+                repeat = pair
+                break
+            seen.add(pair)
+        if repeat is None:
+            assert len(Relation._trusted(columns, rows)) == len(rows)
+            return
+        with pytest.raises(DataError) as err:
+            Relation._trusted(columns, rows)
+        assert str(err.value) == f"duplicate (qid, docno) value {repeat!r} violates the frame primary key"
 
     def test_rank_gaps_rejected(self):
         rows = [
@@ -269,6 +298,17 @@ class TestExternalFormats:
         f.write_text("q1 quick fox\n", encoding="utf-8")
         with pytest.raises(FormatError):
             read_topics(f)
+
+    def test_read_topics_counts_lines_as_text_mode_splits_them(self, tmp_path):
+        f = tmp_path / "bad.tsv"
+        f.write_bytes(b"q1\ta\rq2\tb\r\nq3\tc\nq4\t\x80")
+        with pytest.raises(FormatError) as err:
+            read_topics(f)
+        assert str(err.value) == f"{f}:4: byte 0x80 is not UTF-8"
+
+    def test_read_topics_directory_is_format_error(self, tmp_path):
+        with pytest.raises(FormatError, match="cannot read"):
+            read_topics(tmp_path)
 
     def test_trec_run_format(self):
         rows = [

@@ -388,6 +388,14 @@ class TestReadCorpus:
         )
         assert list(read_corpus(f)) == TOY5
 
+    @pytest.mark.parametrize("line", ['{"docno": 1' + "0" * 5000 + "}", "[" * 100_000])
+    def test_json_the_decoder_refuses_is_format_error(self, tmp_path, line):
+        # an integer literal longer than int() takes, and nesting deeper than the decoder recurses
+        f = tmp_path / "corpus.jsonl"
+        f.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=":1: invalid JSON"):
+            list(read_corpus(f))
+
     def test_bad_line_reports_position(self, tmp_path):
         f = tmp_path / "corpus.jsonl"
         f.write_text('{"docno":"d1","text":"x"}\nnot json\n', encoding="utf-8")

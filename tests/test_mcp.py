@@ -1,12 +1,16 @@
 import json
 import math
 import socket
+import subprocess
+import sys
 import urllib.request
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowrank
 from flowrank.algebra import Leaf, execute, then
 from flowrank.dsl import elaborate, parse
 from flowrank.errors import BindError, DataError, NotServable
@@ -155,7 +159,7 @@ class TestProtocol:
                 reply += chunk
         head, _, body = reply.partition(b"\r\n\r\n")
         assert head.split(b" ")[1] == b"200"
-        resp = json.loads(body)
+        resp = json.loads(body, parse_constant=_no_constant)
         assert resp["error"]["code"] == -32600
         assert resp["id"] is None
 
@@ -167,7 +171,7 @@ class TestProtocol:
                 reply += chunk
         head, _, body = reply.partition(b"\r\n\r\n")
         assert head.split(b" ")[1] == b"200"
-        resp = json.loads(body)
+        resp = json.loads(body, parse_constant=_no_constant)
         assert resp["error"]["code"] == -32600
         assert resp["id"] is None
 
@@ -231,6 +235,27 @@ class TestProtocol:
         assert rpc(server.url, {"method": "notifications/initialized"})["error"]["code"] == -32600
         assert rpc(server.url, {"jsonrpc": "2.0", "id": None, "method": "initialize"})["id"] is None
 
+    @pytest.mark.parametrize(
+        "raw_id", [b"1e400", b"-1e400", b"NaN", b"Infinity", b"-Infinity", b'{"a": [1]}', b"[1]", b"true", b"false"]
+    )
+    def test_id_that_is_not_a_string_finite_number_or_null_is_invalid(self, server, raw_id):
+        body = b'{"jsonrpc": "2.0", "id": %s, "method": "initialize"}' % raw_id
+        resp = rpc(server.url, None, raw=body)
+        assert resp == {"jsonrpc": "2.0", "id": None, "error": {"code": -32600, "message": "Invalid Request"}}
+
+    @pytest.mark.parametrize("id_", ["x", "", 0, -3, 1.5, -0.0, 1e308, 10**30, None])
+    def test_string_finite_number_and_null_ids_are_echoed(self, server, id_):
+        resp = rpc(server.url, {"jsonrpc": "2.0", "id": id_, "method": "initialize"})
+        assert resp["id"] == id_ and type(resp["id"]) is type(id_)
+        assert resp["result"]["protocolVersion"] == "2025-03-26"
+
+    @pytest.mark.parametrize("raw", [b'{"jsonrpc": "2.0", "id": 1' + b"0" * 5000 + b"}", b"[" * 100_000])
+    def test_json_the_decoder_refuses_is_a_parse_error(self, server, raw):
+        # an integer literal longer than int() takes, and nesting deeper
+        # than the decoder recurses: a reply, not a dropped connection
+        resp = rpc(server.url, None, raw=raw)
+        assert resp["error"]["code"] == -32700 and resp["id"] is None
+
     def test_answer_pipeline_over_http(self, server):
         resp = rpc(
             server.url,
@@ -266,6 +291,15 @@ class TestServeLifecycle:
         config = ServerConfig(port=0, pipelines={"bad": (Leaf(lexical_rescorer()), "d")})
         with pytest.raises(NotServable):
             serve(config)
+
+    def test_http_stack_loads_only_when_serving(self):
+        src = str(Path(flowrank.__file__).resolve().parent.parent)
+        script = (
+            f"import sys; sys.path.insert(0, {src!r}); import flowrank, flowrank.cli; "
+            "print(sorted(m for m in ('http.server', 'http.client', 'ssl', 'email') if m in sys.modules))"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_concurrent_identical_requests_identical_bodies(self, server):
         import concurrent.futures

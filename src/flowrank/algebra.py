@@ -17,7 +17,7 @@ from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator
 
 from .errors import DataError, FlowrankError, InvalidK, ValidationError, WeightLengthMismatch
-from .frames import Relation, _unique, dense_ranks, ordered, rank_tuples
+from .frames import Relation, _unique_pairs, dense_ranks, ordered, rank_tuples
 from .transformers import Transformer
 
 DEFAULT_RRF_K = 60.0
@@ -165,7 +165,7 @@ def _contribution(
         keys = zip(map(itemgetter(q), rows), map(itemgetter(d), rows))
         contribution = dict(zip(keys, value(map(itemgetter(s), rows), dense_ranks(rows, q))))
         if len(contribution) != len(rows):
-            _unique(list(zip(out.column("qid"), out.column("docno"))), "(qid, docno)")
+            _unique_pairs(out.rows, q, d)
     except FlowrankError as exc:
         exc.attach_path(path)
         raise

@@ -48,13 +48,10 @@ def cmd_index(args) -> int:
 def cmd_search(args) -> int:
     _, node = _load_pipeline(args.index, args.pipeline)
     topics = read_topics(args.topics)
-    result = execute(node, topics)
-    missing = {"qid", "docno", "score", "rank"} - set(result.columns)
+    missing = {"qid", "docno", "score", "rank"} - fr_inspect.output_columns(node, topics.columns)
     if missing:
-        raise FlowrankError(
-            f"pipeline output is not a ranking: missing columns {cols_str(missing)}"
-        )
-    lines = trec_lines(result, args.tag)
+        raise FlowrankError(f"pipeline output is not a ranking: missing columns {cols_str(missing)}")
+    lines = trec_lines(execute(node, topics), args.tag)
     while chunk := "".join(islice(lines, TREC_CHUNK_LINES)):
         sys.stdout.write(chunk)
     return 0
@@ -94,7 +91,10 @@ def cmd_schematic(args) -> int:
     graph = build_schematic(node, accepted[0])
     rendered = render_html(graph) if args.format == "html" else render_text(graph)
     if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
+        try:
+            Path(args.out).write_text(rendered, encoding="utf-8")
+        except OSError as exc:
+            raise FlowrankError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(rendered)
     return 0

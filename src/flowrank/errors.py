@@ -126,19 +126,6 @@ class ValidationError(FlowrankError):
         super().__init__(diagnostic.message)
 
 
-class Uninspectable(FlowrankError):
-    def __init__(self, name: str):
-        super().__init__(f"transformer {name!r} declares no inspection spec")
-
-
-class NotSatisfied(FlowrankError):
-    """Given columns do not satisfy a node's accepted inputs."""
-
-    def __init__(self, diagnostic):
-        self.diagnostic = diagnostic
-        super().__init__(diagnostic.message)
-
-
 class ParseError(FlowrankError):
     """Pipeline-expression syntax error with position and expected tokens."""
 

@@ -105,10 +105,8 @@ def _check_names(columns: Iterable[str]) -> tuple[str, ...]:
     return columns
 
 
-def _check_value(name: str, value, nullable: bool):
+def _check_value(name: str, value):
     if value is None:
-        if not nullable:
-            raise DataError(f"column {name!r} is required by its frame kind and may not be null")
         return None
     ctype = KNOWN_COLUMN_TYPES.get(name, "text")
     if ctype == "text":
@@ -145,18 +143,14 @@ class Relation:
     def __post_init__(self):
         names = _check_names(self.columns)
         object.__setattr__(self, "columns", names)
-        kind = classify_frame(names)
-        required = _required(kind)
         normalized = []
         for r, row in enumerate(self.rows):
             row = tuple(row)
             if len(row) != len(names):
                 raise DataError(f"row {r} has {len(row)} values but there are {len(names)} columns")
-            normalized.append(
-                tuple(_check_value(name, v, nullable=name not in required) for name, v in zip(names, row))
-            )
+            normalized.append(tuple(map(_check_value, names, row)))
         object.__setattr__(self, "rows", tuple(normalized))
-        self._check_keys(kind)
+        self._check_frame()
         if {"qid", "score", "rank"} <= set(names):
             self._check_ranks()
 
@@ -171,28 +165,29 @@ class Relation:
         position, every other stage through :func:`rank_tuples`), keeping a
         prefix of each qid's ranks at most, or copies them unchanged from a
         checked relation.  A stage may still change the frame kind and so gain
-        required columns and a primary key: nulls in required columns and
-        keys are checked as in public construction.
+        required columns and a primary key: :meth:`_check_frame` checks them
+        as public construction does.
         """
         rel = object.__new__(cls)
         object.__setattr__(rel, "columns", _check_names(columns))
         object.__setattr__(rel, "rows", tuple(rows))
-        kind = classify_frame(rel.columns)
-        for name in _required(kind):
-            if None in map(operator.itemgetter(rel.columns.index(name)), rel.rows):
-                raise DataError(f"column {name!r} is required by its frame kind and may not be null")
-        rel._check_keys(kind)
+        rel._check_frame()
         return rel
 
-    def _check_keys(self, kind: FrameKind):
+    def _check_frame(self):
+        """No nulls in the columns the frame kind requires, then its primary key."""
+        kind = self.kind
+        required = _required(kind)
+        for i, name in enumerate(self.columns):
+            if name in required and None in map(operator.itemgetter(i), self.rows):
+                raise DataError(f"column {name!r} is required by its frame kind and may not be null")
         # primary keys bind the exact frame kinds; extensions such as a
         # candidate table {qid, query, docno, text} legitimately repeat qids
-        names = set(self.columns)
         if kind == FrameKind("Q") or kind == FrameKind("A"):
             _unique(self.column("qid"), "qid")
         elif kind == FrameKind("D"):
             _unique(self.column("docno"), "docno")
-        elif kind.base == "R" and {"qid", "docno"} <= names:
+        elif kind.base == "R":
             _unique_pairs(self.rows, self.columns.index("qid"), self.columns.index("docno"))
 
     def _check_ranks(self):
@@ -331,13 +326,17 @@ def rank_tuples(columns: Sequence[str], rows: Iterable[tuple]) -> tuple[list[str
     return columns, put_column(rows, r, dense_ranks(rows, q))
 
 
+def _need(rel: Relation, needed: set[str], who: str) -> None:
+    """Raise :class:`MissingColumn` unless *rel* has every column in *needed*."""
+    present = set(rel.columns)
+    if not needed <= present:
+        raise MissingColumn(needed - present, needed, present, who=who)
+
+
 def sort_and_rank(rel: Relation) -> Relation:
     """Sort by (qid asc, score desc, docno asc) and write 0-based ranks per qid."""
-    present = set(rel.columns)
-    needed = {"qid", "docno", "score"}
-    if not needed <= present:
-        raise MissingColumn(needed - present, needed, present, who="sort_and_rank")
-    return Relation(*rank_tuples(rel.columns, rel.rows))
+    _need(rel, {"qid", "docno", "score"}, "sort_and_rank")
+    return Relation._trusted(*rank_tuples(rel.columns, rel.rows))
 
 
 def join_on_docno(left: Relation, docs) -> Relation:
@@ -350,9 +349,7 @@ def join_on_docno(left: Relation, docs) -> Relation:
     :class:`DataError`.  An existing ``text`` column is overwritten in
     place.
     """
-    present = set(left.columns)
-    if "docno" not in present:
-        raise MissingColumn({"docno"}, {"docno"}, present, who="join_on_docno")
+    _need(left, {"docno"}, "join_on_docno")
     columns = list(left.columns)
     if "text" not in columns:
         columns.append("text")
@@ -375,9 +372,10 @@ def read_topics(path) -> Relation:
     """Read a UTF-8 TSV topics file (``qid<TAB>query`` per line) as a Q frame.
 
     A file that cannot be read, or holds a byte that is not UTF-8, raises
-    :class:`FormatError` (see :func:`~flowrank.index.text_lines`).
+    :class:`FormatError` (see :func:`~flowrank.index.text_lines`), as does
+    a qid on a second line.
     """
-    rows = []
+    queries = {}
     for lineno, line in text_lines(path):
         line = line.rstrip("\n").rstrip("\r")
         if not line:
@@ -385,8 +383,10 @@ def read_topics(path) -> Relation:
         if "\t" not in line:
             raise FormatError(f"{path}:{lineno}: expected qid<TAB>query")
         qid, query = line.split("\t", 1)
-        rows.append({"qid": qid, "query": query})
-    return Relation.from_dicts(rows, ["qid", "query"])
+        if qid in queries:
+            raise FormatError(f"{path}:{lineno}: duplicate qid {qid!r}")
+        queries[qid] = query
+    return Relation(("qid", "query"), tuple(queries.items()))
 
 
 def trec_lines(rel: Relation, tag: str = "flowrank") -> Iterator[str]:
@@ -396,10 +396,7 @@ def trec_lines(rel: Relation, tag: str = "flowrank") -> Iterator[str]:
     and the score printed with six decimal places.  A missing column raises
     :class:`MissingColumn` here, before any line is formatted.
     """
-    present = set(rel.columns)
-    needed = {"qid", "docno", "score", "rank"}
-    if not needed <= present:
-        raise MissingColumn(needed - present, needed, present, who="format_trec_run")
+    _need(rel, {"qid", "docno", "score", "rank"}, "format_trec_run")
     q, d, r, s = map(rel.columns.index, ("qid", "docno", "rank", "score"))
     return (f"{row[q]} Q0 {row[d]} {row[r]} {row[s]:.6f} {tag}\n" for row in rel.rows)
 

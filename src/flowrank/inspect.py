@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .algebra import Leaf, Linear, PipelineNode, Then
-from .errors import NotSatisfied, Uninspectable, cols_str, path_str
+from .errors import ValidationError, cols_str, path_str
 from .transformers import Transformer
 
 # Columns every fusion child must produce for its ranking to be merged.
@@ -58,18 +58,22 @@ class FlowStep(NamedTuple):
     outputs: frozenset[str]
 
 
-def _failure(path, label, required, available) -> ValidationDiagnostic:
-    missing = frozenset(required) - frozenset(available)
-    return ValidationDiagnostic(
+def _invalid(path, label, available, required=None) -> ValidationError:
+    """The failure of the node at *path*: it requires *required* columns, or,
+    when *required* is None, declares no inspection spec."""
+    if required is None:
+        detail, missing = "declares no inspection spec", frozenset()
+    else:
+        detail = f"requires {cols_str(required)} but only {cols_str(available)} available"
+        missing = frozenset(required) - frozenset(available)
+    diagnostic = ValidationDiagnostic(
         ok=False,
         failing_path=tuple(path),
         missing=missing,
         available=frozenset(available),
-        message=(
-            f"invalid pipeline at {path_str(path)}: {label} requires "
-            f"{cols_str(required)} but only {cols_str(available)} available"
-        ),
+        message=f"invalid pipeline at {path_str(path)}: {label} {detail}",
     )
+    return ValidationError(diagnostic)
 
 
 def flow(node: PipelineNode, given) -> dict[tuple[int, ...], FlowStep]:
@@ -77,7 +81,7 @@ def flow(node: PipelineNode, given) -> dict[tuple[int, ...], FlowStep]:
 
     The steps are keyed by tree path, in preorder.  This is the one place
     column sets are propagated; validation, output columns, schematics and
-    tool descriptors all read it.  Raises :class:`NotSatisfied` with the
+    tool descriptors all read it.  Raises :class:`ValidationError` with the
     first failure (leftmost, outermost first).
     """
     steps: dict[tuple[int, ...], FlowStep] = {}
@@ -91,17 +95,10 @@ def _flow(node: PipelineNode, path: tuple[int, ...], cols: frozenset[str], steps
     if isinstance(node, Leaf):
         label, spec = node.transformer.name, node.transformer.spec
         if spec is None:
-            raise NotSatisfied(
-                ValidationDiagnostic(
-                    ok=False,
-                    failing_path=path,
-                    available=cols,
-                    message=f"invalid pipeline at {path_str(path)}: {label} declares no inspection spec",
-                )
-            )
+            raise _invalid(path, label, cols)
         matched = spec.match(cols)
         if matched is None:
-            raise NotSatisfied(_failure(path, label, spec.closest(cols), cols))
+            raise _invalid(path, label, cols, spec.closest(cols))
         out = spec.output_for(matched)
         if spec.passthrough:
             out = out | (cols - matched)
@@ -115,8 +112,7 @@ def _flow(node: PipelineNode, path: tuple[int, ...], cols: frozenset[str], steps
         child_outputs = [_flow(child, path + (i,), cols, steps) for i, child in enumerate(node.children)]
         for i, child_out in enumerate(child_outputs):
             if not FUSION_CHILD_OUTPUT <= child_out:
-                diagnostic = _failure(path + (i,), f"{label} child output", FUSION_CHILD_OUTPUT, child_out)
-                raise NotSatisfied(diagnostic)
+                raise _invalid(path + (i,), f"{label} child output", child_out, FUSION_CHILD_OUTPUT)
         out = FUSION_OUTPUT
         if all("query" in child_out for child_out in child_outputs):
             out = out | {"query"}
@@ -128,7 +124,7 @@ def validate(node: PipelineNode, given) -> ValidationDiagnostic:
     """Check that *given* columns satisfy every stage; reports the first failure."""
     try:
         flow(node, given)
-    except NotSatisfied as exc:
+    except ValidationError as exc:
         return exc.diagnostic
     return ValidationDiagnostic(ok=True)
 
@@ -151,25 +147,25 @@ def input_columns(node: PipelineNode) -> list[frozenset[str]]:
 def _outputs_for(node: PipelineNode) -> dict[frozenset[str], frozenset[str]]:
     """Each satisfying candidate input -> its outputs, from one flow per candidate."""
     outputs_for: dict[frozenset[str], frozenset[str]] = {}
-    for cand in _candidate_inputs(node):
+    for cand in _candidate_inputs(node, ()):
         if cand not in outputs_for:
             try:
                 outputs_for[cand] = flow(node, cand)[()].outputs
-            except NotSatisfied:
+            except ValidationError:
                 pass
     return outputs_for
 
 
-def _candidate_inputs(node: PipelineNode) -> list[frozenset[str]]:
+def _candidate_inputs(node: PipelineNode, path: tuple[int, ...]) -> list[frozenset[str]]:
     if isinstance(node, Leaf):
         if node.transformer.spec is None:
-            raise Uninspectable(node.transformer.name)
+            raise _invalid(path, node.transformer.name, ())
         return list(node.transformer.spec.accepted_inputs)
     if isinstance(node, Then):
-        return _candidate_inputs(node.children[0])
+        return _candidate_inputs(node.children[0], path + (0,))
     candidates: list[frozenset[str]] = []
-    for child in node.children:
-        for cand in _candidate_inputs(child):
+    for i, child in enumerate(node.children):
+        for cand in _candidate_inputs(child, path + (i,)):
             if cand not in candidates:
                 candidates.append(cand)
     return candidates

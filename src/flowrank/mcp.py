@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import threading
 from dataclasses import dataclass, field
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 from .algebra import PipelineNode, execute
-from .errors import BindError, DataError, FlowrankError, NotSatisfied, NotServable
+from .errors import BindError, DataError, FlowrankError, NotServable, ValidationError
 from .frames import Relation, canonical_columns
 from .inspect import output_columns
 
@@ -87,7 +86,7 @@ def tool_descriptor(name: str, node: PipelineNode, description: str) -> ToolDesc
     """Describe a pipeline as a tool; only query-frame-rooted pipelines serve."""
     try:
         produced = canonical_columns(output_columns(node, _SERVABLE_INPUT))
-    except NotSatisfied as exc:
+    except ValidationError as exc:
         raise NotServable(name, exc.diagnostic) from None
     return ToolDescriptor(name, description, _queries_schema(), tuple(produced))
 
@@ -323,8 +322,8 @@ class ServerHandle:
 def serve(config: ServerConfig) -> ServerHandle:
     """Start serving the configured pipelines; returns a running handle.
 
-    The ``FLOWRANK_MCP_PORT`` environment variable overrides the configured
-    port.  Raises :class:`BindError` if the address cannot be bound and
+    It binds ``config.port`` on ``config.host``; port 0 takes a free port.
+    Raises :class:`BindError` if the address cannot be bound and
     :class:`NotServable` if a registered pipeline cannot run from a query
     frame.  The HTTP stack is imported here, on the first call, not with
     this module.
@@ -332,14 +331,10 @@ def serve(config: ServerConfig) -> ServerHandle:
     from ._mcp_http import Server
 
     dispatcher = _Dispatcher(config)
-    port = config.port
-    env_port = os.environ.get("FLOWRANK_MCP_PORT")
-    if env_port:
-        port = int(env_port)
     try:
-        httpd = Server((config.host, port), dispatcher)
+        httpd = Server((config.host, config.port), dispatcher)
     except OSError as exc:
-        raise BindError(config.host, port, str(exc)) from exc
+        raise BindError(config.host, config.port, str(exc)) from exc
     thread = threading.Thread(target=httpd.serve_forever, name="flowrank-mcp", daemon=True)
     thread.start()
     return ServerHandle(httpd, thread)

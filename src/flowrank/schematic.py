@@ -14,7 +14,6 @@ import html
 from dataclasses import dataclass
 
 from .algebra import Leaf, Linear, PipelineNode, Then
-from .errors import NotSatisfied, ValidationError
 from .frames import canonical_columns, classify_frame
 from .inspect import attributes, flow, format_value
 
@@ -68,11 +67,7 @@ def _badge(columns) -> FrameBadge:
 
 def build_schematic(node: PipelineNode, given) -> SchematicGraph:
     """Lay out a validated pipeline as stages and badges from *given* columns."""
-    try:
-        steps = flow(node, given)
-    except NotSatisfied as exc:
-        raise ValidationError(exc.diagnostic) from None
-    return SchematicGraph(_badge(given), tuple(_layout(node, (), steps)))
+    return SchematicGraph(_badge(given), tuple(_layout(node, (), flow(node, given))))
 
 
 def _layout(node: PipelineNode, path, steps) -> list:

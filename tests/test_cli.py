@@ -73,6 +73,19 @@ class TestSearchCommand:
         assert code == 1
         assert "not a ranking" in capsys.readouterr().err
 
+    def test_not_a_ranking_is_refused_before_the_index_data_loads(self, workspace, capsys, monkeypatch):
+        loaded = []
+
+        def load(path):
+            loaded.append(load_index(path))
+            return loaded[-1]
+
+        monkeypatch.setattr("flowrank.cli.load_index", load)
+        argv = ["search", "--index", "ix", "--topics", "topics.tsv", "--pipeline", "bm25 >> text_loader >> answer"]
+        assert main(argv) == 1
+        assert "pipeline output is not a ranking: missing columns" in capsys.readouterr().err
+        assert len(loaded) == 1 and not loaded[0].data_loaded
+
     @pytest.mark.parametrize("chunk", [1, 4, 6, 7])
     def test_chunked_run_equals_format_trec_run(self, workspace, capsys, monkeypatch, chunk):
         # 6 lines: chunks of 1 and 6 divide them, 4 leaves a partial last chunk, 7 is one chunk
@@ -118,6 +131,10 @@ class TestDamagedInputs:
     def test_pipeline_file_missing(self, workspace, capsys):
         argv = ["search", "--index", "ix", "--pipeline", "@nosuch.txt", "--topics", "topics.tsv"]
         self._fails_naming(capsys, argv, "cannot read nosuch.txt")
+
+    def test_schematic_out_not_writable(self, workspace, capsys):
+        argv = ["schematic", "--index", "ix", "--pipeline", "bm25", "--out", "nosuch/x.html"]
+        self._fails_naming(capsys, argv, "cannot write nosuch/x.html", "No such file or directory")
 
     def test_pipeline_file_not_utf8(self, workspace, capsys):
         (workspace / "pipe.txt").write_bytes(b"bm25 >>\n\xe9")

@@ -11,9 +11,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
-    env = {k: v for k, v in os.environ.items() if k != "FLOWRANK_MCP_PORT"}
-    env["PYTHONPATH"] = str(ROOT / "src")
-    env["TMPDIR"] = str(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )

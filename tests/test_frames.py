@@ -306,6 +306,13 @@ class TestExternalFormats:
             read_topics(f)
         assert str(err.value) == f"{f}:4: byte 0x80 is not UTF-8"
 
+    def test_read_topics_names_the_line_of_a_repeated_qid(self, tmp_path):
+        f = tmp_path / "topics.tsv"
+        f.write_text("q1\tquick fox\nq2\tlazy dog\n\nq1\tbrown fox\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            read_topics(f)
+        assert str(err.value) == f"{f}:4: duplicate qid 'q1'"
+
     def test_read_topics_directory_is_format_error(self, tmp_path):
         with pytest.raises(FormatError, match="cannot read"):
             read_topics(tmp_path)

@@ -4,7 +4,7 @@ import pytest
 
 from flowrank.algebra import Leaf, execute, rr_fusion, then
 from flowrank.dsl import elaborate, parse
-from flowrank.errors import MissingColumn, NotSatisfied, Uninspectable
+from flowrank.errors import MissingColumn, ValidationError
 from flowrank.inspect import (
     attributes,
     flow,
@@ -52,10 +52,19 @@ class TestInputColumns:
 
     def test_uninspectable_leaf(self):
         opaque = Transformer("opaque", "no spec", (), None, lambda rel: rel)
-        with pytest.raises(Uninspectable):
+        with pytest.raises(ValidationError):
             input_columns(Leaf(opaque))
         diag = validate(Leaf(opaque), {"qid", "query"})
         assert not diag.ok and "no inspection spec" in diag.message
+
+    def test_uninspectable_head_names_its_path(self, toy_index):
+        opaque = Transformer("opaque", "no spec", (), None, lambda rel: rel)
+        node = rr_fusion([Leaf(bm25_retriever(toy_index)), then(Leaf(opaque), Leaf(text_loader(toy_index)))])
+        with pytest.raises(ValidationError) as err:
+            input_columns(node)
+        assert err.value.diagnostic.failing_path == (1, 0)
+        assert str(err.value) == validate(node, {"qid", "query"}).message
+        assert str(err.value) == "invalid pipeline at [1.0]: opaque declares no inspection spec"
 
     def test_unsatisfiable_fusion_is_empty(self):
         node = rr_fusion([Leaf(sdm_rewriter()), Leaf(sdm_rewriter())])
@@ -75,7 +84,7 @@ class TestOutputColumns:
         assert output_columns(figure1, {"qid", "query"}) == frozenset({"qid", "qanswer"})
 
     def test_not_satisfied(self, toy_index):
-        with pytest.raises(NotSatisfied):
+        with pytest.raises(ValidationError):
             output_columns(Leaf(bm25_retriever(toy_index)), {"docno"})
 
     def test_first_declared_set_wins(self):
@@ -167,7 +176,7 @@ class TestFlow:
     def test_failure_carries_the_validate_diagnostic(self, toy_index):
         rescored = then(Leaf(sdm_rewriter()), Leaf(lexical_rescorer()))
         node = rr_fusion([Leaf(bm25_retriever(toy_index)), rescored])
-        with pytest.raises(NotSatisfied) as err:
+        with pytest.raises(ValidationError) as err:
             flow(node, {"qid", "query"})
         assert err.value.diagnostic == validate(node, {"qid", "query"})
         assert err.value.diagnostic.failing_path == (1, 1)

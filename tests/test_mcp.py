@@ -270,15 +270,15 @@ class TestProtocol:
 
 
 class TestServeLifecycle:
-    def test_env_port_override(self, toy_registry, monkeypatch):
+    def test_port_zero_binds_a_free_port_whatever_the_environment(self, toy_registry, monkeypatch):
         node = elaborate(parse("bm25"), toy_registry)
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            free_port = probe.getsockname()[1]
-        monkeypatch.setenv("FLOWRANK_MCP_PORT", str(free_port))
-        config = ServerConfig(port=1, pipelines={"bm25": (node, "d")})
-        with serve(config) as handle:
-            assert handle.port == free_port
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            # an environment variable must not move the configured port
+            monkeypatch.setenv("FLOWRANK_MCP_PORT", str(busy.getsockname()[1]))
+            with serve(ServerConfig(port=0, pipelines={"bm25": (node, "d")})) as handle:
+                assert handle.port not in (0, busy.getsockname()[1])
 
     def test_bind_error_on_busy_port(self, toy_registry):
         node = elaborate(parse("bm25"), toy_registry)

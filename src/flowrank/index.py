@@ -22,6 +22,7 @@ import json
 import os
 import re
 import threading
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate, chain, count
 from operator import ge, itemgetter, lt
@@ -60,12 +61,16 @@ def tokenize(text: str) -> list[str]:
 
 
 # one term's postings as columns: ascending doc_ids, the tf of each, and
-# every document's positions back to back, tfs[i] of them for doc_ids[i]
-Columns = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-# the same postings as (doc_id, tf, positions) rows
+# every document's positions back to back, tfs[i] of them for doc_ids[i];
+# tfs and positions are read-only views of 4-byte int arrays
+Columns = tuple[tuple[int, ...], memoryview, memoryview]
+# the same postings as (doc_id, tf, positions) rows, all tuples
 PostingList = tuple[tuple[int, int, tuple[int, ...]], ...]
 
-_NO_POSTINGS: Columns = ((), (), ())
+# the columns as a loaded index keeps them, tfs and positions as the arrays
+_Stored = tuple[tuple[int, ...], array, array]
+
+_NO_POSTINGS: _Stored = ((), array("i"), array("i"))
 
 
 def doc_slices(tfs: Iterable[int]) -> Iterator[slice]:
@@ -142,7 +147,7 @@ def build_index(corpus: Iterable[tuple[str, str]], out_dir) -> IndexStats:
     out_dir = Path(out_dir)
     docs: list[tuple[str, int, str]] = []  # (docno, doc_len, text), position is doc_id
     seen: set[str] = set()
-    postings: dict[str, tuple[list[int], list[int], list[int]]] = {}  # term -> columns
+    postings: dict[str, tuple[array, array, array]] = {}  # term -> 4-byte int columns
     total_tokens = 0
     for docno, text in corpus:
         if docno in seen:
@@ -150,6 +155,8 @@ def build_index(corpus: Iterable[tuple[str, str]], out_dir) -> IndexStats:
         seen.add(docno)
         doc_id = len(docs)
         tokens = tokenize(text)
+        if len(tokens) >= 2**31:  # a tf or position past a 4-byte column
+            raise FormatError(f"document {docno!r} has {len(tokens)} tokens; an index takes at most {2**31 - 1}")
         total_tokens += len(tokens)
         docs.append((docno, len(tokens), text))
         by_term: dict[str, list[int]] = {}
@@ -158,7 +165,7 @@ def build_index(corpus: Iterable[tuple[str, str]], out_dir) -> IndexStats:
         for term, positions in by_term.items():
             columns = postings.get(term)
             if columns is None:
-                columns = postings[term] = ([], [], [])
+                columns = postings[term] = (array("i"), array("i"), array("i"))
             columns[0].append(doc_id)
             columns[1].append(len(positions))
             columns[2].extend(positions)
@@ -183,9 +190,9 @@ def build_index(corpus: Iterable[tuple[str, str]], out_dir) -> IndexStats:
                             "term": term,
                             "df": len(doc_ids),
                             "cf": len(positions),
-                            "doc_ids": doc_ids,
-                            "tfs": tfs,
-                            "positions": positions,
+                            "doc_ids": doc_ids.tolist(),
+                            "tfs": tfs.tolist(),
+                            "positions": positions.tolist(),
                         }
                     )
                     + "\n"
@@ -287,12 +294,14 @@ def _pick(seq, indices: list[int]) -> tuple:
     return tuple(map(seq.__getitem__, indices))
 
 
-def _read_postings(file: Path, ids: tuple[int, ...], doc_lens: tuple[int, ...]) -> dict[str, Columns]:
+def _read_postings(file: Path, ids: tuple[int, ...], doc_lens: tuple[int, ...]) -> dict[str, _Stored]:
     """Term -> ``(doc_ids, tfs, positions)`` columns; checked against *doc_lens*.
 
-    Every term's ``doc_ids`` point at the same int object per document,
-    the one in *ids* (``ids[i] == i``), instead of at one JSON-decoded int
-    per posting.
+    Every term's ``doc_ids`` are a tuple pointing at the same int object
+    per document, the one in *ids* (``ids[i] == i``), instead of at one
+    JSON-decoded int per posting.  ``tfs`` and ``positions`` are
+    ``array("i")``, made only after the checks pass; a value they cannot
+    hold is :class:`CorruptIndex` too.
     """
     table = {}
     for lineno, line in enumerate(_read_lines(file), start=1):
@@ -305,7 +314,10 @@ def _read_postings(file: Path, ids: tuple[int, ...], doc_lens: tuple[int, ...]) 
         fault = _columns_fault(df, cf, doc_ids, tfs, positions, doc_lens)
         if fault is not None:
             raise CorruptIndex(str(file), f"line {lineno}: {fault} for term {term!r}")
-        table[term] = (_pick(ids, doc_ids), tuple(tfs), tuple(positions))
+        try:
+            table[term] = (_pick(ids, doc_ids), array("i", tfs), array("i", positions))
+        except OverflowError as exc:
+            raise CorruptIndex(str(file), f"line {lineno}: {exc} for term {term!r}") from exc
     return table
 
 
@@ -319,7 +331,8 @@ class Index:
     documents as columns indexed by doc_id (:meth:`docnos`,
     :meth:`doc_lens` and the texts) plus one docno-to-doc_id map, and each
     term's postings as the columns ``(doc_ids, tfs, positions)``
-    (:meth:`columns`).
+    (:meth:`columns`): a tuple of the map's shared ints, and two
+    ``array("i")`` of 4-byte ints.
     """
 
     def __init__(self, path):
@@ -345,7 +358,7 @@ class Index:
         self._docnos: tuple[str, ...] = ()
         self._texts: tuple[str, ...] = ()
         self._doc_lens: tuple[int, ...] = ()
-        self._postings: dict[str, Columns] | None = None
+        self._postings: dict[str, _Stored] | None = None
         self._load_lock = threading.Lock()
 
     @property
@@ -394,10 +407,14 @@ class Index:
 
         ``doc_ids`` ascend; ``positions`` holds every document's positions
         back to back, ``tfs[i]`` of them for ``doc_ids[i]`` (see
-        :func:`doc_slices`).  An unseen term has three empty columns.
+        :func:`doc_slices`).  ``doc_ids`` is a tuple; ``tfs`` and
+        ``positions`` are read-only memoryviews of 4-byte ints, made on each
+        call, so the handle's arrays cannot be written through them.  An
+        unseen term has three empty columns.
         """
         self._ensure_loaded()
-        return self._postings.get(term, _NO_POSTINGS)
+        doc_ids, tfs, positions = self._postings.get(term, _NO_POSTINGS)
+        return doc_ids, memoryview(tfs).toreadonly(), memoryview(positions).toreadonly()
 
     def postings(self, term: str) -> PostingList:
         """The ``(doc_id, tf, positions)`` rows of *term*, ascending doc_id.
@@ -405,7 +422,7 @@ class Index:
         Built from :meth:`columns` on each call.
         """
         doc_ids, tfs, positions = self.columns(term)
-        return tuple(zip(doc_ids, tfs, map(positions.__getitem__, doc_slices(tfs))))
+        return tuple(zip(doc_ids, tfs, map(tuple, map(positions.__getitem__, doc_slices(tfs)))))
 
     def df(self, term: str) -> int:
         return len(self.columns(term)[0])
@@ -485,7 +502,7 @@ def adjacent_counts(first: Columns, second: Columns) -> tuple[list[int], list[in
     return doc_ids, counts
 
 
-def count_adjacent(positions_a: tuple[int, ...], positions_b: tuple[int, ...]) -> int:
+def count_adjacent(positions_a: Iterable[int], positions_b: Iterable[int]) -> int:
     """Number of positions p with the first term at p and the second at p+1."""
     follow = set(positions_b)
     return sum(1 for p in positions_a if p + 1 in follow)

@@ -145,9 +145,17 @@ def input_columns(node: PipelineNode) -> list[frozenset[str]]:
 
 
 def _outputs_for(node: PipelineNode) -> dict[frozenset[str], frozenset[str]]:
-    """Each satisfying candidate input -> its outputs, from one flow per candidate."""
+    """Each satisfying candidate input -> its outputs, from one flow per candidate.
+
+    A leaf without a spec, wherever it stands, raises the failure that
+    :func:`flow` gives it: no input can satisfy it, and no candidate flow
+    may swallow that.
+    """
+    for path, t in subtransformers(node):
+        if t.spec is None:
+            raise _invalid(path, t.name, ())
     outputs_for: dict[frozenset[str], frozenset[str]] = {}
-    for cand in _candidate_inputs(node, ()):
+    for cand in _candidate_inputs(node):
         if cand not in outputs_for:
             try:
                 outputs_for[cand] = flow(node, cand)[()].outputs
@@ -156,16 +164,14 @@ def _outputs_for(node: PipelineNode) -> dict[frozenset[str], frozenset[str]]:
     return outputs_for
 
 
-def _candidate_inputs(node: PipelineNode, path: tuple[int, ...]) -> list[frozenset[str]]:
+def _candidate_inputs(node: PipelineNode) -> list[frozenset[str]]:
     if isinstance(node, Leaf):
-        if node.transformer.spec is None:
-            raise _invalid(path, node.transformer.name, ())
         return list(node.transformer.spec.accepted_inputs)
     if isinstance(node, Then):
-        return _candidate_inputs(node.children[0], path + (0,))
+        return _candidate_inputs(node.children[0])
     candidates: list[frozenset[str]] = []
-    for i, child in enumerate(node.children):
-        for cand in _candidate_inputs(child, path + (i,)):
+    for child in node.children:
+        for cand in _candidate_inputs(child):
             if cand not in candidates:
                 candidates.append(cand)
     return candidates

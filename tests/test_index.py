@@ -60,6 +60,15 @@ class TestBuildIndex:
         with pytest.raises(EmptyCorpus):
             build_index([], tmp_path / "ix")
 
+    def test_a_document_past_four_byte_positions_is_refused(self, tmp_path, monkeypatch):
+        class Huge(list):  # stands for 2**31 tokens without holding them
+            def __len__(self):
+                return 2**31
+
+        monkeypatch.setattr(flowrank.index, "tokenize", lambda text: Huge())
+        with pytest.raises(FormatError, match="'d1' has 2147483648 tokens"):
+            build_index([("d1", "x")], tmp_path / "ix")
+
     def test_deterministic_files(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         build_index(TOY5, a)
@@ -199,9 +208,45 @@ class TestLoadIndex:
         lines = (out / "postings.jsonl").read_text(encoding="utf-8").splitlines()
         assert '{"term":"quick","df":2,"cf":3,"doc_ids":[0,2],"tfs":[1,2],"positions":[1,0,1]}' in lines
         ix = load_index(out)
-        assert ix.columns("quick") == ((0, 2), (1, 2), (1, 0, 1))
+        assert tuple(map(tuple, ix.columns("quick"))) == ((0, 2), (1, 2), (1, 0, 1))
         assert ix.postings("quick") == ((0, 1, (1,)), (2, 2, (0, 1)))
-        assert ix.columns("zzz") == ((), (), ())
+        assert tuple(map(tuple, ix.columns("zzz"))) == ((), (), ())
+
+    def test_columns_are_read_only_four_byte_ints(self, tmp_path):
+        corpus = [(f"d{i}", f"common w{i % 7} w{i % 11}") for i in range(600)]
+        build_index(corpus, tmp_path / "ix")
+        ix = load_index(tmp_path / "ix")
+        for term in ix.terms() + ["zzz"]:
+            doc_ids, tfs, positions = ix.columns(term)
+            assert type(doc_ids) is tuple
+            assert tfs.itemsize == positions.itemsize == 4
+            assert tfs.readonly and positions.readonly
+        _, tfs, positions = ix.columns("common")
+        with pytest.raises(TypeError):
+            tfs[0] = 2
+        with pytest.raises(TypeError):
+            positions[0] = 1
+        assert ix.postings("common")[0] == (0, 1, (0,))
+
+    def test_a_value_no_four_byte_column_holds_is_corrupt(self, tmp_path):
+        # d1 claims 2**40 tokens, meta agrees, and quick sits at 2**31 in it:
+        # every check passes, but the position does not fit an array("i")
+        out = tmp_path / "ix"
+        build_index(TOY5, out)
+        docs = [json.loads(line) for line in (out / "docs.jsonl").read_text(encoding="utf-8").splitlines()]
+        docs[0]["doc_len"] = 2**40
+        (out / "docs.jsonl").write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+        total = sum(d["doc_len"] for d in docs)
+        meta = {"format_version": 2, "n_docs": 5, "total_tokens": total, "avg_doc_len": total / 5}
+        (out / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        lines = (out / "postings.jsonl").read_text(encoding="utf-8").splitlines()
+        at = next(i for i, line in enumerate(lines) if json.loads(line)["term"] == "quick")
+        lines[at] = lines[at].replace('"positions":[1,0,1]', f'"positions":[{2**31},0,1]')
+        (out / "postings.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorruptIndex) as err:
+            load_index(out).postings("fox")
+        assert str(err.value).startswith(f"corrupt index file {out / 'postings.jsonl'}: line {at + 1}: ")
+        assert "'quick'" in str(err.value)
 
     # quick: doc_ids [0, 2], tfs [1, 2], positions [1, 0, 1]; barks: [3], [1], [2]
     @pytest.mark.parametrize(
@@ -242,6 +287,23 @@ class TestLoadIndex:
             load_index(out).postings("fox")
         assert "postings.jsonl" in str(err.value)
 
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        docs=st.lists(
+            st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=300).map(" ".join), min_size=1, max_size=12
+        )
+    )
+    def test_columns_equal_the_written_line(self, docs):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "ix"
+            build_index([(f"d{i}", text) for i, text in enumerate(docs)], out)
+            ix = load_index(out)
+            lines = (out / "postings.jsonl").read_text(encoding="utf-8").splitlines()
+            assert len(lines) == len(ix.terms())
+            for obj in map(json.loads, lines):
+                columns = tuple(map(tuple, ix.columns(obj["term"])))
+                assert columns == (tuple(obj["doc_ids"]), tuple(obj["tfs"]), tuple(obj["positions"]))
+
     def test_doc_ids_share_one_int_per_document(self, tmp_path):
         # CPython shares only the ints up to 256: past them each JSON-decoded
         # id would be its own object
@@ -253,6 +315,7 @@ class TestLoadIndex:
         values = set(chain.from_iterable(doc_ids))
         assert len(values) == 600
         assert len(set(map(id, chain.from_iterable(doc_ids)))) == len(values)
+        assert all(d is doc_ids[0][d] for d in chain.from_iterable(doc_ids))
 
     def test_format_version_1_is_a_version_mismatch(self, tmp_path):
         out = tmp_path / "ix"

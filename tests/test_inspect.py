@@ -66,6 +66,15 @@ class TestInputColumns:
         assert str(err.value) == validate(node, {"qid", "query"}).message
         assert str(err.value) == "invalid pipeline at [1.0]: opaque declares no inspection spec"
 
+    def test_uninspectable_later_leaf_names_its_path(self):
+        opaque = Transformer("opaque", "no spec", (), None, lambda rel: rel)
+        node = then(Leaf(sdm_rewriter()), Leaf(opaque))
+        with pytest.raises(ValidationError) as err:
+            input_columns(node)
+        assert err.value.diagnostic.failing_path == (1,)
+        assert str(err.value) == validate(node, {"qid", "query"}).message
+        assert str(err.value) == "invalid pipeline at [1]: opaque declares no inspection spec"
+
     def test_unsatisfiable_fusion_is_empty(self):
         node = rr_fusion([Leaf(sdm_rewriter()), Leaf(sdm_rewriter())])
         assert input_columns(node) == []

@@ -16,7 +16,6 @@ from .algebra import (
     RRF,
     Then,
     execute,
-    leaf,
     linear,
     rr_fusion,
     then,

@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Iterator
+from typing import Iterable
 
 from .errors import DataError, FlowrankError, InvalidK, ValidationError, WeightLengthMismatch
-from .frames import Relation, _unique_pairs, dense_ranks, ordered, rank_tuples
+from .frames import RANKING, Relation, _unique_pairs, canonical_columns, dense_ranks, ordered, rank_tuples
 from .transformers import Transformer
 
 DEFAULT_RRF_K = 60.0
@@ -77,10 +77,6 @@ class RRF(PipelineNode):
             raise InvalidK(self.k)
 
 
-def leaf(transformer: Transformer) -> Leaf:
-    return Leaf(transformer)
-
-
 def then(a: PipelineNode, b: PipelineNode) -> Then:
     """Sequential composition; adjacent sequential nodes are flattened."""
     parts = []
@@ -129,76 +125,77 @@ def _run(node: PipelineNode, rel: Relation, path: tuple[int, ...]) -> Relation:
             for i, child in enumerate(node.children):
                 rel = _run(child, rel, path + (i,))
             return rel
-        if isinstance(node, Linear):
-            values = [lambda scores, ranks, w=w: map(mul, repeat(w), scores) for w in node.weights]
-        elif isinstance(node, RRF):
-            values = [lambda scores, ranks: [1.0 / (node.k + rank + 1) for rank in ranks]] * len(node.children)
-        else:
+        if not isinstance(node, (Linear, RRF)):
             raise TypeError(f"unknown pipeline node: {node!r}")
-        outputs = [_run(child, rel, path + (i,)) for i, child in enumerate(node.children)]
-        contributions = [
-            _contribution(out, value, path + (i,)) for i, (out, value) in enumerate(zip(outputs, values))
-        ]
-        fused = _fuse(outputs, contributions)
-        if isinstance(node, Linear):
-            _check_products(node.weights, outputs, contributions)
-        return fused
+        return _fuse(node, [_run(child, rel, path + (i,)) for i, child in enumerate(node.children)], path)
     except FlowrankError as exc:
         # the deepest node attaches first: a child's error keeps its own path
         exc.attach_path(path)
         raise
 
 
-def _contribution(
-    out: Relation, value: Callable[[Iterator[float], Iterator[int]], Iterable], path: tuple[int, ...]
-) -> dict[tuple[str, str], float]:
-    """``value(scores, ranks)`` per ``(qid, docno)`` of one fusion child's output.
+def fused_columns(child_columns: Iterable[Iterable[str]]) -> tuple[str, ...]:
+    """The columns of a fusion node whose children produce *child_columns*.
+
+    These are the ranking columns, plus ``query`` when every child produced
+    it, in canonical order.  Inspection and execution both read them here.
+    """
+    query = {"query"} if all("query" in columns for columns in child_columns) else set()
+    return tuple(canonical_columns(RANKING | query))
+
+
+def _contribution(node: Linear | RRF, i: int, out: Relation, path: tuple[int, ...]) -> dict[tuple[str, str], float]:
+    """Child *i*'s part of the fused score per ``(qid, docno)`` of its output *out*.
 
     The child is put in the engine's ranking order, whatever order or
-    ranks it came with, and ranked by position; *value* maps its score and
-    rank columns in that order to one value per row.  The child must hold
-    each ``(qid, docno)`` at most once; an error carries the child's *path*.
+    ranks it came with, and ranked by position.  Its part is ``weight *
+    score`` under :class:`Linear` and ``1 / (k + rank + 1)`` under
+    :class:`RRF`.  The child must hold each ``(qid, docno)`` at most once;
+    an error carries the child's path, *path* of the fusion node plus *i*.
     """
     try:
         q, s, d = map(out.columns.index, ("qid", "score", "docno"))
         rows = ordered(out.rows, s, d, q)
         keys = zip(map(itemgetter(q), rows), map(itemgetter(d), rows))
-        contribution = dict(zip(keys, value(map(itemgetter(s), rows), dense_ranks(rows, q))))
-        if len(contribution) != len(rows):
+        if isinstance(node, Linear):
+            values = map(mul, repeat(node.weights[i]), map(itemgetter(s), rows))
+        else:
+            values = [1.0 / (node.k + rank + 1) for rank in dense_ranks(rows, q)]
+        part = dict(zip(keys, values))
+        if len(part) != len(rows):
             _unique_pairs(out.rows, q, d)
     except FlowrankError as exc:
-        exc.attach_path(path)
+        exc.attach_path(path + (i,))
         raise
-    return contribution
+    return part
 
 
-def _check_products(weights, outputs: list[Relation], contributions: list[dict]) -> None:
-    """Raise :class:`DataError` where a ``weight * score`` overflowed from a finite score."""
-    # a nonzero weight keeps an infinite score infinite, and 0 * inf is nan
-    for weight, out, products in zip(weights, outputs, contributions):
-        if sum(map(math.isinf, products.values())) > sum(map(math.isinf, out.column("score"))):
-            raise DataError(f"weight {weight} times a score is not finite")
+def _fuse(node: Linear | RRF, outputs: list[Relation], path: tuple[int, ...]) -> Relation:
+    """Merge the children's *outputs* into one ranked relation over :func:`fused_columns`.
 
-
-def _fuse(outputs: list[Relation], contributions: list[dict]) -> Relation:
-    """Merge per-child (qid, docno) contributions into one ranked relation.
-
-    A document missing from a child contributes zero.  The ``query`` column
-    survives only when every child produced it; the first child retrieving a
-    qid supplies its query value.  Scores are summed with ``math.fsum`` so
-    the result is independent of child order; a sum that overflows, or
-    that adds ``inf`` to ``-inf``, raises :class:`DataError`.
+    A document missing from a child contributes zero; the first child
+    retrieving a qid supplies its query value.  Scores are summed with
+    ``math.fsum`` so the result is independent of child order; a sum that
+    overflows, or that adds ``inf`` to ``-inf``, raises :class:`DataError`,
+    as does a ``weight * score`` that overflowed from a finite score.
     """
-    lead = ("qid", "query") if all("query" in out.columns for out in outputs) else ("qid",)
-    keys = list(dict.fromkeys(chain.from_iterable(contributions)))
+    parts = [_contribution(node, i, out, path) for i, out in enumerate(outputs)]
+    keys = list(dict.fromkeys(chain.from_iterable(parts)))
     try:
         # a child without a key adds 0.0, which leaves every fsum as it was
-        totals = list(map(math.fsum, zip(*(map(c.get, keys, repeat(0.0)) for c in contributions))))
+        totals = list(map(math.fsum, zip(*(map(part.get, keys, repeat(0.0)) for part in parts))))
     except (OverflowError, ValueError) as exc:
         raise DataError(f"scores do not sum to a finite number ({exc})") from None
+    if isinstance(node, Linear):
+        # a nonzero weight keeps an infinite score infinite, and 0 * inf is nan
+        for weight, out, part in zip(node.weights, outputs, parts):
+            if sum(map(math.isinf, part.values())) > sum(map(math.isinf, out.column("score"))):
+                raise DataError(f"weight {weight} times a score is not finite")
+    columns = fused_columns(out.columns for out in outputs)
+    lead = columns[: columns.index("docno")]  # qid, and query when every child has it
     cells: dict[str, tuple] = {}  # qid -> its cells in *lead*
     for out in outputs:
         for row in zip(*map(out.column, lead)):
             cells.setdefault(row[0], row)
     rows = [cells[qid] + (docno, total) for (qid, docno), total in zip(keys, totals)]
-    return Relation._trusted(*rank_tuples(lead + ("docno", "score"), rows))
+    return Relation._trusted(*rank_tuples(columns, rows))

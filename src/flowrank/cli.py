@@ -11,7 +11,7 @@ from . import inspect as fr_inspect
 from .algebra import execute
 from .dsl import elaborate, parse, render
 from .errors import FlowrankError, cols_str, path_str
-from .frames import read_topics, trec_lines
+from .frames import RANKING, read_topics, trec_lines
 from .index import build_index, load_index, read_corpus, text_lines
 from .mcp import ServerConfig, serve
 from .schematic import build_schematic, render_html, render_text
@@ -30,9 +30,7 @@ def _pipeline_source(arg: str) -> str:
 
 
 def _load_pipeline(index_dir: str, pipeline_arg: str):
-    index = load_index(index_dir)
-    node = elaborate(parse(_pipeline_source(pipeline_arg)), registry(index))
-    return index, node
+    return elaborate(parse(_pipeline_source(pipeline_arg)), registry(load_index(index_dir)))
 
 
 def _column_set(arg: str) -> set[str]:
@@ -46,9 +44,9 @@ def cmd_index(args) -> int:
 
 
 def cmd_search(args) -> int:
-    _, node = _load_pipeline(args.index, args.pipeline)
+    node = _load_pipeline(args.index, args.pipeline)
     topics = read_topics(args.topics)
-    missing = {"qid", "docno", "score", "rank"} - fr_inspect.output_columns(node, topics.columns)
+    missing = RANKING - fr_inspect.output_columns(node, topics.columns)
     if missing:
         raise FlowrankError(f"pipeline output is not a ranking: missing columns {cols_str(missing)}")
     lines = trec_lines(execute(node, topics), args.tag)
@@ -58,7 +56,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    _, node = _load_pipeline(args.index, args.pipeline)
+    node = _load_pipeline(args.index, args.pipeline)
     diagnostic = fr_inspect.validate(node, _column_set(args.input_columns))
     if diagnostic.ok:
         print("ok")
@@ -68,7 +66,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    _, node = _load_pipeline(args.index, args.pipeline)
+    node = _load_pipeline(args.index, args.pipeline)
     report = fr_inspect.io_report(node)
     print("accepted inputs:")
     for accepted in report.accepted_inputs:
@@ -84,7 +82,7 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_schematic(args) -> int:
-    _, node = _load_pipeline(args.index, args.pipeline)
+    node = _load_pipeline(args.index, args.pipeline)
     accepted = fr_inspect.input_columns(node)
     if not accepted:
         raise FlowrankError("pipeline accepts no input configuration")
@@ -108,6 +106,8 @@ def cmd_serve(args) -> int:
         name, sep, expr = entry.partition("=")
         if not sep or not name or not expr:
             raise FlowrankError(f"--pipelines entries must look like name=expr, got {entry!r}")
+        if name in pipelines:
+            raise FlowrankError(f"--pipelines names the tool {name!r} more than once")
         node = elaborate(parse(_pipeline_source(expr)), reg)
         pipelines[name] = (node, f"runs the retrieval pipeline {render(node)}")
     config = ServerConfig(host=args.host, port=args.port, pipelines=pipelines)

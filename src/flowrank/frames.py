@@ -20,8 +20,9 @@ import collections
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError, FormatError, MissingColumn, UnknownDocno
 from .index import Index, text_lines
@@ -41,9 +42,13 @@ KNOWN_COLUMN_TYPES = {
 # Canonical presentation order for the well-known columns.
 _PREFERRED_ORDER = ("qid", "query", "query_vec", "docno", "text", "score", "rank", "qanswer")
 
+# The columns of a ranking (an R frame), and those a relation needs to be ranked.
+RANKING = frozenset({"qid", "docno", "score", "rank"})
+RANKABLE = RANKING - {"rank"}
+
 # Minimal column sets per frame kind; match precedence is R > A > Q > D.
 FRAME_REQUIREMENTS = (
-    ("R", frozenset({"qid", "docno", "score", "rank"})),
+    ("R", RANKING),
     ("A", frozenset({"qid", "qanswer"})),
     ("Q", frozenset({"qid", "query"})),
     ("D", frozenset({"docno", "text"})),
@@ -114,9 +119,7 @@ def _check_value(name: str, value):
             raise DataError(f"column {name!r} expects text, got {type(value).__name__}")
         return value
     if ctype == "float64":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise DataError(f"column {name!r} expects float64, got {type(value).__name__}")
-        return float(value)
+        return _float(name, value, "float64")
     if ctype == "int64":
         if isinstance(value, bool) or not isinstance(value, int):
             raise DataError(f"column {name!r} expects int64, got {type(value).__name__}")
@@ -124,7 +127,17 @@ def _check_value(name: str, value):
     # float-vector
     if isinstance(value, str) or not isinstance(value, Sequence):
         raise DataError(f"column {name!r} expects a float vector, got {type(value).__name__}")
-    return tuple(float(v) for v in value)
+    return tuple(_float(name, v, "numbers in a float vector") for v in value)
+
+
+def _float(name: str, value, expected: str) -> float:
+    """*value*, an int or a float but not a bool, as a float in column *name*."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"column {name!r} expects {expected}, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DataError(f"column {name!r} holds an integer too large for float64") from None
 
 
 @dataclass(frozen=True)
@@ -326,7 +339,7 @@ def rank_tuples(columns: Sequence[str], rows: Iterable[tuple]) -> tuple[list[str
     return columns, put_column(rows, r, dense_ranks(rows, q))
 
 
-def _need(rel: Relation, needed: set[str], who: str) -> None:
+def _need(rel: Relation, needed: AbstractSet[str], who: str) -> None:
     """Raise :class:`MissingColumn` unless *rel* has every column in *needed*."""
     present = set(rel.columns)
     if not needed <= present:
@@ -335,7 +348,7 @@ def _need(rel: Relation, needed: set[str], who: str) -> None:
 
 def sort_and_rank(rel: Relation) -> Relation:
     """Sort by (qid asc, score desc, docno asc) and write 0-based ranks per qid."""
-    _need(rel, {"qid", "docno", "score"}, "sort_and_rank")
+    _need(rel, RANKABLE, "sort_and_rank")
     return Relation._trusted(*rank_tuples(rel.columns, rel.rows))
 
 
@@ -389,14 +402,25 @@ def read_topics(path) -> Relation:
     return Relation(("qid", "query"), tuple(queries.items()))
 
 
+_WHITESPACE = re.compile(r"\s")
+
+
 def trec_lines(rel: Relation, tag: str = "flowrank") -> Iterator[str]:
     """The TREC run lines of a ranked relation, formatted as they are read.
 
     One line per row: ``qid Q0 docno rank score tag`` with the 0-based rank
     and the score printed with six decimal places.  A missing column raises
-    :class:`MissingColumn` here, before any line is formatted.
+    :class:`MissingColumn` here, before any line is formatted, and a qid or
+    docno that is empty or holds whitespace, which would not make a line of
+    six fields, raises :class:`DataError` naming it.
     """
-    _need(rel, {"qid", "docno", "score", "rank"}, "format_trec_run")
+    _need(rel, RANKING, "format_trec_run")
+    for name in ("qid", "docno"):
+        values = rel.column(name)
+        # "" vanishes from the join, so it is looked for on its own
+        if "" in values or _WHITESPACE.search("".join(values)):
+            bad = next(v for v in values if not v or _WHITESPACE.search(v))
+            raise DataError(f"{name} {bad!r} cannot be written to a TREC run: it is empty or holds whitespace")
     q, d, r, s = map(rel.columns.index, ("qid", "docno", "rank", "score"))
     return (f"{row[q]} Q0 {row[d]} {row[r]} {row[s]:.6f} {tag}\n" for row in rel.rows)
 

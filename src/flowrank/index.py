@@ -118,11 +118,17 @@ def _not_utf8(path) -> str:
     return f"{path}: not UTF-8"
 
 
+# JSON values a corpus docno or text may not be, by the type they decode to
+_NOT_TEXT = {type(None): "null", bool: "a boolean", dict: "an object", list: "an array"}
+
+
 def read_corpus(path) -> Iterator[tuple[str, str]]:
     """Iterate (docno, text) pairs from a JSONL corpus file.
 
-    A damaged file raises :class:`FormatError` naming the path and, where
-    there is one, the line.
+    A docno or text that is a number is read as its ``str``.  A damaged
+    file, or a docno or text that is null, a boolean, an object or an
+    array, raises :class:`FormatError` naming the path and, where there is
+    one, the line.
     """
     for lineno, line in text_lines(path):
         line = line.strip()
@@ -134,6 +140,10 @@ def read_corpus(path) -> Iterator[tuple[str, str]]:
             raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict) or "docno" not in obj or "text" not in obj:
             raise FormatError(f"{path}:{lineno}: expected an object with docno and text")
+        for key in ("docno", "text"):
+            kind = _NOT_TEXT.get(type(obj[key]))
+            if kind is not None:
+                raise FormatError(f"{path}:{lineno}: {key} must be a string or a number, not {kind}")
         yield str(obj["docno"]), str(obj["text"])
 
 
@@ -450,9 +460,6 @@ class Index:
     def __contains__(self, docno: str) -> bool:
         self._ensure_loaded()
         return docno in self._ids
-
-    def __getitem__(self, docno: str) -> str:
-        return self.text(docno)
 
     def texts(self, docnos: list[str]) -> tuple[str, ...]:
         """The stored text of each of *docnos*, in order; the first docno

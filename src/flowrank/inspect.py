@@ -11,14 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .algebra import Leaf, Linear, PipelineNode, Then
+from .algebra import Leaf, Linear, PipelineNode, Then, fused_columns
 from .errors import ValidationError, cols_str, path_str
+from .frames import RANKABLE
 from .transformers import Transformer
-
-# Columns every fusion child must produce for its ranking to be merged.
-FUSION_CHILD_OUTPUT = frozenset({"qid", "docno", "score"})
-
-FUSION_OUTPUT = frozenset({"qid", "docno", "score", "rank"})
 
 
 @dataclass(frozen=True)
@@ -111,11 +107,9 @@ def _flow(node: PipelineNode, path: tuple[int, ...], cols: frozenset[str], steps
         label = "linear" if isinstance(node, Linear) else "rrf"
         child_outputs = [_flow(child, path + (i,), cols, steps) for i, child in enumerate(node.children)]
         for i, child_out in enumerate(child_outputs):
-            if not FUSION_CHILD_OUTPUT <= child_out:
-                raise _invalid(path + (i,), f"{label} child output", child_out, FUSION_CHILD_OUTPUT)
-        out = FUSION_OUTPUT
-        if all("query" in child_out for child_out in child_outputs):
-            out = out | {"query"}
+            if not RANKABLE <= child_out:
+                raise _invalid(path + (i,), f"{label} child output", child_out, RANKABLE)
+        out = frozenset(fused_columns(child_outputs))
     steps[path] = FlowStep(path, label, cols, out)
     return out
 

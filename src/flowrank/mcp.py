@@ -202,11 +202,10 @@ class _Dispatcher:
     """Protocol logic, independent of the HTTP plumbing for testability."""
 
     def __init__(self, config: ServerConfig):
-        self.tools: dict[str, tuple[PipelineNode, ToolDescriptor]] = {}
-        for name, (node, description) in config.pipelines.items():
-            if name in self.tools:
-                raise ValueError(f"duplicate tool name {name!r}")
-            self.tools[name] = (node, tool_descriptor(name, node, description))
+        self.tools: dict[str, tuple[PipelineNode, ToolDescriptor]] = {
+            name: (node, tool_descriptor(name, node, description))
+            for name, (node, description) in config.pipelines.items()
+        }
 
     def dispatch_bytes(self, body: bytes) -> bytes | None:
         try:

@@ -97,9 +97,6 @@ class Transformer:
                 )
         return self.fn(rel)
 
-    def __call__(self, rel: Relation) -> Relation:
-        return self.transform(rel)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Transformer):
             return NotImplemented
@@ -288,12 +285,16 @@ def _score_groups(index: Index, params: Bm25Params, groups, norms: dict[int, flo
     return ordered(zip(map(index.docnos().__getitem__, by_score), values), 1, 0)[:k]
 
 
-def _retrieval_fn(index: Index, params: Bm25Params, weighted: bool):
+_RETRIEVER_OUT = ("qid", "query", "docno", "score", "rank")
+
+
+def _retriever(name: str, description: str, index: Index, params: Bm25Params, weighted: bool) -> Transformer:
+    """A BM25 retriever over *index*; a *weighted* one also parses #w/#ow queries."""
     norms = None  # built at the first call, when the index is loaded
 
     def fn(rel: Relation) -> Relation:
         nonlocal norms
-        _require_values(rel, "wbm25" if weighted else "bm25", "query")
+        _require_values(rel, name, "query")
         # retrievers re-derive state: one retrieval per distinct qid, taking
         # the first query seen for it, regardless of how many rows carry it
         q, t = map(rel.columns.index, ("qid", "query"))
@@ -314,34 +315,25 @@ def _retrieval_fn(index: Index, params: Bm25Params, weighted: bool):
             rows += map(add, top, zip(count()))
         return Relation._trusted(_RETRIEVER_OUT, rows)
 
-    return fn
-
-
-_RETRIEVER_OUT = ("qid", "query", "docno", "score", "rank")
+    return Transformer(
+        name=name,
+        description=description,
+        attributes=(("k1", params.k1), ("b", params.b), ("num_results", params.num_results)),
+        spec=spec({"qid", "query"}, _RETRIEVER_OUT),
+        fn=fn,
+        index=index,
+    )
 
 
 def bm25_retriever(index: Index, params: Bm25Params = Bm25Params()) -> Transformer:
     """Lexical BM25 retrieval over a loaded index; consumes Q frames."""
-    return Transformer(
-        name="bm25",
-        description="BM25 lexical retrieval over the inverted index",
-        attributes=(("k1", params.k1), ("b", params.b), ("num_results", params.num_results)),
-        spec=spec({"qid", "query"}, _RETRIEVER_OUT),
-        fn=_retrieval_fn(index, params, weighted=False),
-        index=index,
-    )
+    return _retriever("bm25", "BM25 lexical retrieval over the inverted index", index, params, weighted=False)
 
 
 def weighted_bm25_retriever(index: Index, params: Bm25Params = Bm25Params()) -> Transformer:
     """BM25 retrieval that also understands weighted #w/#ow query strings."""
-    return Transformer(
-        name="wbm25",
-        description="BM25 retrieval accepting weighted unigram and ordered-window query groups",
-        attributes=(("k1", params.k1), ("b", params.b), ("num_results", params.num_results)),
-        spec=spec({"qid", "query"}, _RETRIEVER_OUT),
-        fn=_retrieval_fn(index, params, weighted=True),
-        index=index,
-    )
+    description = "BM25 retrieval accepting weighted unigram and ordered-window query groups"
+    return _retriever("wbm25", description, index, params, weighted=True)
 
 
 def sdm_rewriter(params: SdmParams = SdmParams()) -> Transformer:

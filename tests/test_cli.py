@@ -86,6 +86,13 @@ class TestSearchCommand:
         assert "pipeline output is not a ranking: missing columns" in capsys.readouterr().err
         assert len(loaded) == 1 and not loaded[0].data_loaded
 
+    def test_spaced_qid_fails_before_any_output(self, workspace, capsys):
+        (workspace / "spaced.tsv").write_text("q1\tquick fox\nq 1\tquick\n", encoding="utf-8")
+        assert main(["search", "--index", "ix", "--pipeline", "bm25", "--topics", "spaced.tsv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: qid 'q 1' cannot be written to a TREC run: it is empty or holds whitespace\n"
+
     @pytest.mark.parametrize("chunk", [1, 4, 6, 7])
     def test_chunked_run_equals_format_trec_run(self, workspace, capsys, monkeypatch, chunk):
         # 6 lines: chunks of 1 and 6 divide them, 4 leaves a partial last chunk, 7 is one chunk
@@ -192,6 +199,23 @@ class TestSchematicCommand:
         assert code == 0
         html = out_file.read_text(encoding="utf-8")
         assert 'data-schematic-version="1"' in html and 'data-path=""' in html
+
+
+class TestServeCommand:
+    def test_repeated_tool_name_is_refused_before_binding(self, workspace, capsys, monkeypatch):
+        served = []
+
+        class Handle:
+            url = "http://127.0.0.1:0/mcp"
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr("flowrank.cli.serve", lambda config: served.append(config) or Handle())
+        argv = ["serve", "--index", "ix", "--pipelines", "a=bm25", "a=sdm >> wbm25", "--port", "0"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: --pipelines names the tool 'a' more than once\n"
+        assert served == []
 
 
 class TestUsageErrors:

@@ -150,6 +150,14 @@ class TestRelationInvariants:
                 [{"qid": "q1", "docno": "d1", "score": "high", "rank": 0}],
                 ["qid", "docno", "score", "rank"],
             )
+        with pytest.raises(DataError, match="column 'score' holds an integer too large for float64"):
+            rel([{"qid": "q1", "docno": "d1", "score": 10**400, "rank": 0}], ["qid", "docno", "score", "rank"])
+        # each vector element is checked as a float64 cell is
+        for vector, got in ((["a"], "str"), ([None], "NoneType"), (["1.5"], "str"), ([True], "bool")):
+            with pytest.raises(DataError, match=f"column 'query_vec' expects numbers in a float vector, got {got}"):
+                rel([{"qid": "q1", "query_vec": vector}], ["qid", "query_vec"])
+        with pytest.raises(DataError, match="column 'query_vec' holds an integer too large for float64"):
+            rel([{"qid": "q1", "query_vec": [1, 10**400]}], ["qid", "query_vec"])
 
     def test_score_coerced_to_float(self):
         r = rel([{"qid": "q1", "docno": "d1", "score": 2, "rank": 0}], ["qid", "docno", "score", "rank"])
@@ -328,3 +336,13 @@ class TestExternalFormats:
     def test_trec_run_needs_ranking_columns(self):
         with pytest.raises(MissingColumn):
             format_trec_run(rel([{"qid": "q1", "query": "x"}], ["qid", "query"]))
+
+    @pytest.mark.parametrize("column", ["qid", "docno"])
+    @pytest.mark.parametrize("value", ["", "q 1", "d\t2", "x\n", "\u00a0"])
+    def test_trec_run_refuses_an_empty_or_spaced_qid_or_docno(self, column, value):
+        rows = [{"qid": "q1", "docno": "d1", "score": 2.0}, {"qid": "q1", "docno": "d2", "score": 1.0}]
+        rows[1][column] = value
+        ranked = sort_and_rank(rel(rows, ["qid", "docno", "score"]))
+        with pytest.raises(DataError) as err:
+            format_trec_run(ranked)
+        assert str(err.value) == f"{column} {value!r} cannot be written to a TREC run: it is empty or holds whitespace"

@@ -459,6 +459,20 @@ class TestReadCorpus:
         with pytest.raises(FormatError, match=":1: invalid JSON"):
             list(read_corpus(f))
 
+    @pytest.mark.parametrize("key", ["docno", "text"])
+    @pytest.mark.parametrize(
+        "value, kind", [(None, "null"), (True, "a boolean"), ({"a": 1}, "an object"), (["x"], "an array")]
+    )
+    def test_docno_or_text_not_a_string_or_number_is_format_error(self, tmp_path, key, value, kind):
+        f = tmp_path / "corpus.jsonl"
+        fields = {"docno": "d2", "text": "alpha beta", key: value}
+        f.write_text(json.dumps({"docno": 1, "text": 2.5}) + "\n" + json.dumps(fields) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            list(read_corpus(f))
+        assert str(err.value) == f"{f}:2: {key} must be a string or a number, not {kind}"
+        # numbers are read as their str, as before
+        assert next(read_corpus(f)) == ("1", "2.5")
+
     def test_bad_line_reports_position(self, tmp_path):
         f = tmp_path / "corpus.jsonl"
         f.write_text('{"docno":"d1","text":"x"}\nnot json\n', encoding="utf-8")

@@ -6,7 +6,9 @@ depend on the Python version).  Some documents share their text, so tied
 scores and the docno tie-break are exercised too.  The runs of three
 reference pipelines and the figure-1 answers must match the files under
 ``tests/goldens/`` byte for byte.  So must the figure-1 schematics, which
-``test_schematic.py`` and the acceptance suite check as well.
+``test_schematic.py`` and the acceptance suite check as well, the
+``flowrank inspect`` output of the README pipelines, and the MCP
+``tools/list`` reply of a server with a ``bm25`` and a figure-1 tool.
 
 After a deliberate ranking or schematic change, regenerate the files with::
 
@@ -15,6 +17,8 @@ After a deliberate ranking or schematic change, regenerate the files with::
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -25,10 +29,12 @@ from pathlib import Path
 
 import pytest
 
+from flowrank import cli
 from flowrank.algebra import execute
-from flowrank.dsl import elaborate, parse
+from flowrank.dsl import elaborate, parse, render
 from flowrank.frames import Relation, format_trec_run
 from flowrank.index import build_index, load_index
+from flowrank.mcp import ServerConfig, _Dispatcher
 from flowrank.schematic import build_schematic, render_html, render_text
 from flowrank.transformers import registry
 
@@ -46,6 +52,8 @@ RUNS = {
     "figure1_rescored.trec": "rrf(bm25, sdm >> wbm25) >> text_loader >> rescore",
 }
 ANSWERS = ("figure1_answers.tsv", "rrf(bm25, sdm >> wbm25) >> text_loader >> rescore >> answer")
+INSPECTED = ("bm25", "bm25 >> text_loader", FIGURE1_EXPR)
+TOOLS = {"bm25": "bm25", "figure1": FIGURE1_EXPR}
 
 
 def _words(rng: random.Random) -> list[str]:
@@ -120,6 +128,26 @@ def produce_schematics() -> dict[str, str]:
     return {"figure1.html": render_html(graph), "figure1.txt": render_text(graph)}
 
 
+def produce_inspections() -> dict[str, str]:
+    """``flowrank inspect`` of each README pipeline and a ``tools/list``
+    reply, over the toy corpus indexed at ``ix`` as for the schematics."""
+    build_index(TOY5, "ix")
+    inspected = []
+    for expr in INSPECTED:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["inspect", "--index", "ix", "--pipeline", expr]) == 0
+        inspected.append(f"$ flowrank inspect --index ix --pipeline '{expr}'\n{out.getvalue()}")
+    reg = registry(load_index("ix"))
+    pipelines = {}
+    for name, expr in TOOLS.items():
+        node = elaborate(parse(expr), reg)
+        pipelines[name] = (node, f"runs the retrieval pipeline {render(node)}")
+    request = b'{"jsonrpc": "2.0", "id": 1, "method": "tools/list"}'
+    reply = _Dispatcher(ServerConfig(pipelines=pipelines)).dispatch_bytes(request)
+    return {"inspect.txt": "".join(inspected), "tools_list.json": reply.decode("ascii") + "\n"}
+
+
 @pytest.fixture(scope="module")
 def produced(tmp_path_factory):
     return produce(tmp_path_factory.mktemp("goldens") / "index")
@@ -136,11 +164,21 @@ def test_schematics_match_goldens(tmp_path, monkeypatch):
         assert text == (GOLDENS / name).read_text(encoding="utf-8"), name
 
 
+def test_inspections_match_goldens(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in produce_inspections().items():
+        assert text == (GOLDENS / name).read_text(encoding="utf-8"), name
+
+
 _PRODUCE = """
 import json, sys
 from pathlib import Path
 import test_goldens
-files = {**test_goldens.produce(Path("index")), **test_goldens.produce_schematics()}
+files = {
+    **test_goldens.produce(Path("index")),
+    **test_goldens.produce_schematics(),
+    **test_goldens.produce_inspections(),
+}
 sys.stdout.write(json.dumps(files, sort_keys=True))
 """
 
@@ -171,7 +209,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            files = {**produce(Path(tmp) / "index"), **produce_schematics()}
+            files = {**produce(Path(tmp) / "index"), **produce_schematics(), **produce_inspections()}
         finally:
             os.chdir(cwd)
         for name, text in files.items():

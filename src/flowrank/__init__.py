@@ -32,7 +32,6 @@ from .frames import (
 )
 from .index import Index, IndexStats, build_index, load_index, tokenize
 from .inspect import (
-    IoReport,
     ValidationDiagnostic,
     attributes,
     flow,

@@ -69,9 +69,9 @@ def cmd_inspect(args) -> int:
     node = _load_pipeline(args.index, args.pipeline)
     report = fr_inspect.io_report(node)
     print("accepted inputs:")
-    for accepted in report.accepted_inputs:
-        print(f"  {cols_str(accepted)} -> {cols_str(report.outputs_for[accepted])}")
-    if not report.accepted_inputs:
+    for accepted, produced in report.items():
+        print(f"  {cols_str(accepted)} -> {cols_str(produced)}")
+    if not report:
         print("  (none)")
     print("subtransformers:")
     for path, t in fr_inspect.subtransformers(node):

@@ -8,7 +8,7 @@ inspection is safe on pipelines that would be expensive (or wrong) to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algebra import Leaf, Linear, PipelineNode, Then, fused_columns
@@ -31,14 +31,6 @@ class ValidationDiagnostic:
     missing: frozenset[str] = frozenset()
     available: frozenset[str] = frozenset()
     message: str = "ok"
-
-
-@dataclass
-class IoReport:
-    """Accepted input column sets and the outputs produced for each."""
-
-    accepted_inputs: list[frozenset[str]]
-    outputs_for: dict[frozenset[str], frozenset[str]] = field(default_factory=dict)
 
 
 class FlowStep(NamedTuple):
@@ -92,12 +84,9 @@ def _flow(node: PipelineNode, path: tuple[int, ...], cols: frozenset[str], steps
         label, spec = node.transformer.name, node.transformer.spec
         if spec is None:
             raise _invalid(path, label, cols)
-        matched = spec.match(cols)
-        if matched is None:
+        out = spec.outputs_for(cols)
+        if out is None:
             raise _invalid(path, label, cols, spec.closest(cols))
-        out = spec.output_for(matched)
-        if spec.passthrough:
-            out = out | (cols - matched)
     elif isinstance(node, Then):
         label, out = "chain", cols
         for i, child in enumerate(node.children):
@@ -135,11 +124,12 @@ def input_columns(node: PipelineNode) -> list[frozenset[str]]:
     child's accepted sets filtered by whole-chain propagation; for fusion
     nodes, the children's satisfying sets filtered the same way.
     """
-    return list(_outputs_for(node))
+    return list(io_report(node))
 
 
-def _outputs_for(node: PipelineNode) -> dict[frozenset[str], frozenset[str]]:
-    """Each satisfying candidate input -> its outputs, from one flow per candidate.
+def io_report(node: PipelineNode) -> dict[frozenset[str], frozenset[str]]:
+    """Each input column set that satisfies the pipeline -> the columns it
+    produces, in declaration order, from one flow per candidate.
 
     A leaf without a spec, wherever it stands, raises the failure that
     :func:`flow` gives it: no input can satisfy it, and no candidate flow
@@ -198,8 +188,3 @@ def format_value(value) -> str:
 def attributes(t: Transformer) -> list[tuple[str, str]]:
     """Declared attributes in stable order, values rendered canonically."""
     return [(name, format_value(value)) for name, value in t.attributes]
-
-
-def io_report(node: PipelineNode) -> IoReport:
-    outputs_for = _outputs_for(node)
-    return IoReport(list(outputs_for), outputs_for)

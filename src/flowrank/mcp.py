@@ -43,43 +43,42 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 _SERVABLE_INPUT = frozenset({"qid", "query"})
 
 
+# every served pipeline runs from a query frame, so every tool takes this input
+_QUERIES_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "queries": {
+            "type": "array",
+            "description": "search requests to run through the pipeline",
+            "items": {
+                "type": "object",
+                "properties": {
+                    "qid": {"type": "string", "description": "query identifier"},
+                    "query": {"type": "string", "description": "query text"},
+                },
+                "required": ["qid", "query"],
+            },
+        }
+    },
+    "required": ["queries"],
+}
+
+
 @dataclass(frozen=True)
 class ToolDescriptor:
     """MCP-facing tool metadata derived from pipeline inspection."""
 
     name: str
     description: str
-    input_schema: dict
     output_columns: tuple[str, ...]
 
     def to_wire(self) -> dict:
         return {
             "name": self.name,
             "description": self.description,
-            "inputSchema": self.input_schema,
+            "inputSchema": _QUERIES_SCHEMA,
             "outputColumns": list(self.output_columns),
         }
-
-
-def _queries_schema() -> dict:
-    return {
-        "type": "object",
-        "properties": {
-            "queries": {
-                "type": "array",
-                "description": "search requests to run through the pipeline",
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "qid": {"type": "string", "description": "query identifier"},
-                        "query": {"type": "string", "description": "query text"},
-                    },
-                    "required": ["qid", "query"],
-                },
-            }
-        },
-        "required": ["queries"],
-    }
 
 
 def tool_descriptor(name: str, node: PipelineNode, description: str) -> ToolDescriptor:
@@ -88,7 +87,7 @@ def tool_descriptor(name: str, node: PipelineNode, description: str) -> ToolDesc
         produced = canonical_columns(output_columns(node, _SERVABLE_INPUT))
     except ValidationError as exc:
         raise NotServable(name, exc.diagnostic) from None
-    return ToolDescriptor(name, description, _queries_schema(), tuple(produced))
+    return ToolDescriptor(name, description, tuple(produced))
 
 
 @dataclass
@@ -259,7 +258,7 @@ class _Dispatcher:
         arguments = params.get("arguments")
         if not isinstance(arguments, dict) or not isinstance(arguments.get("queries"), list):
             return _rpc_error(id_, INVALID_PARAMS, "arguments.queries must be an array")
-        rows = []
+        pairs = []
         for i, item in enumerate(arguments["queries"]):
             if (
                 not isinstance(item, dict)
@@ -269,10 +268,10 @@ class _Dispatcher:
                 return _rpc_error(
                     id_, INVALID_PARAMS, f"queries[{i}] must have string qid and query"
                 )
-            rows.append({"qid": item["qid"], "query": item["query"]})
+            pairs.append((item["qid"], item["query"]))
         node, _ = self.tools[name]
         try:
-            queries = Relation.from_dicts(rows, ["qid", "query"])
+            queries = Relation(("qid", "query"), pairs)
         except FlowrankError as exc:
             return _rpc_error(id_, INVALID_PARAMS, str(exc))
         try:

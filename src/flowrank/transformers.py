@@ -25,31 +25,34 @@ from .index import Index, adjacent_counts, tokenize
 
 @dataclass(frozen=True)
 class TransformerSpec:
-    """Declared I/O contract: accepted input column sets and their outputs.
+    """Declared I/O contract: one table of accepted inputs and their outputs.
 
-    ``accepted_inputs`` lists alternative minimal configurations in priority
-    order (the first satisfied set wins).  ``outputs`` maps each accepted set
-    to the columns produced for it.  When ``passthrough`` is set, input
-    columns beyond the matched set are preserved in the output.
+    ``outputs`` pairs each alternative minimal input configuration with the
+    columns produced for it, in priority order (the first satisfied set
+    wins).  When ``passthrough`` is set, input columns beyond the matched
+    set are preserved in the output.
     """
 
-    accepted_inputs: tuple[frozenset[str], ...]
     outputs: tuple[tuple[frozenset[str], frozenset[str]], ...]
     passthrough: bool = False
 
     def __post_init__(self):
-        if not self.accepted_inputs:
+        if not self.outputs:
             raise ValueError("a transformer must accept at least one input configuration")
-        declared = {a for a, _ in self.outputs}
-        if declared != set(self.accepted_inputs):
-            raise ValueError("outputs must be declared for exactly the accepted input sets")
+        if len(set(self.accepted_inputs)) != len(self.outputs):
+            raise ValueError("an input configuration is declared more than once")
 
-    def match(self, columns) -> frozenset[str] | None:
-        """First accepted set contained in *columns*, or None."""
-        columns = set(columns)
-        for accepted in self.accepted_inputs:
-            if accepted <= columns:
-                return accepted
+    @property
+    def accepted_inputs(self) -> tuple[frozenset[str], ...]:
+        return tuple(accepts for accepts, _ in self.outputs)
+
+    def outputs_for(self, columns) -> frozenset[str] | None:
+        """Columns produced from *columns* by the first accepted set they
+        contain, or None when they contain none."""
+        columns = frozenset(columns)
+        for accepts, produces in self.outputs:
+            if accepts <= columns:
+                return produces | (columns - accepts) if self.passthrough else produces
         return None
 
     def closest(self, columns) -> frozenset[str]:
@@ -57,17 +60,10 @@ class TransformerSpec:
         columns = set(columns)
         return min(self.accepted_inputs, key=lambda a: (len(a - columns), sorted(a)))
 
-    def output_for(self, matched: frozenset[str]) -> frozenset[str]:
-        for accepted, produced in self.outputs:
-            if accepted == matched:
-                return produced
-        raise KeyError(matched)
-
 
 def spec(accepts, produces, passthrough: bool = False) -> TransformerSpec:
     """Spec with a single accepted input set."""
-    a = frozenset(accepts)
-    return TransformerSpec((a,), ((a, frozenset(produces)),), passthrough=passthrough)
+    return TransformerSpec(((frozenset(accepts), frozenset(produces)),), passthrough=passthrough)
 
 
 @dataclass(eq=False)
@@ -88,13 +84,9 @@ class Transformer:
     index: Index | None = field(default=None, repr=False)
 
     def transform(self, rel: Relation) -> Relation:
-        if self.spec is not None:
-            matched = self.spec.match(rel.columns)
-            if matched is None:
-                required = self.spec.closest(rel.columns)
-                raise MissingColumn(
-                    required - set(rel.columns), required, set(rel.columns), who=self.name
-                )
+        if self.spec is not None and self.spec.outputs_for(rel.columns) is None:
+            required = self.spec.closest(rel.columns)
+            raise MissingColumn(required - set(rel.columns), required, set(rel.columns), who=self.name)
         return self.fn(rel)
 
     def __eq__(self, other) -> bool:

@@ -177,10 +177,7 @@ def stub_run(name: str, rows: list[dict], with_rank: bool = False) -> Transforme
     """Source transformer ignoring its input and returning a fixed run."""
     columns = ["qid", "docno", "score"] + (["rank"] if with_rank else [])
     fixed = Relation.from_dicts(rows, columns)
-    out_spec = TransformerSpec(
-        accepted_inputs=(frozenset(),),
-        outputs=((frozenset(), frozenset(columns)),),
-    )
+    out_spec = TransformerSpec(outputs=((frozenset(), frozenset(columns)),))
     return Transformer(
         name=name,
         description=f"fixed run {name}",

@@ -102,7 +102,6 @@ class TestOutputColumns:
             description="",
             attributes=(),
             spec=TransformerSpec(
-                accepted_inputs=(frozenset({"qid"}), frozenset({"docno"})),
                 outputs=(
                     (frozenset({"qid"}), frozenset({"qid", "a"})),
                     (frozenset({"docno"}), frozenset({"docno", "b"})),
@@ -144,7 +143,6 @@ class TestValidate:
             description="",
             attributes=(),
             spec=TransformerSpec(
-                accepted_inputs=(frozenset({"qid"}),),
                 outputs=((frozenset({"qid"}), frozenset({"qid"})),),
             ),
             fn=lambda rel: (_ for _ in ()).throw(RuntimeError("ran")),
@@ -227,8 +225,8 @@ class TestSubtransformersAndAttributes:
 
     def test_io_report(self, toy_index):
         report = io_report(Leaf(bm25_retriever(toy_index)))
-        assert report.accepted_inputs == [frozenset({"qid", "query"})]
-        assert report.outputs_for[frozenset({"qid", "query"})] == frozenset(
+        assert list(report) == [frozenset({"qid", "query"})]
+        assert report[frozenset({"qid", "query"})] == frozenset(
             {"qid", "query", "docno", "rank", "score"}
         )
 

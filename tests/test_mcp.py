@@ -57,9 +57,10 @@ def server(toy_registry, figure1):
 class TestToolDescriptor:
     def test_bm25_schema_and_outputs(self, toy_index):
         desc = tool_descriptor("bm25", Leaf(bm25_retriever(toy_index)), "BM25 search")
-        items = desc.input_schema["properties"]["queries"]["items"]
+        schema = desc.to_wire()["inputSchema"]
+        items = schema["properties"]["queries"]["items"]
         assert items["required"] == ["qid", "query"]
-        assert desc.input_schema["required"] == ["queries"]
+        assert schema["required"] == ["queries"]
         assert list(desc.output_columns) == ["qid", "query", "docno", "score", "rank"]
 
     def test_figure1_outputs(self, figure1):

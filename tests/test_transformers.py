@@ -65,7 +65,7 @@ class TestBm25Retriever:
     def test_declared_io(self, toy_index):
         t = bm25_retriever(toy_index)
         assert list(t.spec.accepted_inputs) == [frozenset({"qid", "query"})]
-        assert t.spec.output_for(frozenset({"qid", "query"})) == frozenset(
+        assert t.spec.outputs_for({"qid", "query"}) == frozenset(
             {"qid", "query", "docno", "rank", "score"}
         )
 
@@ -523,7 +523,7 @@ class TestSpecBehaviorAgreement:
                     cols = set(accepted) | set(extra)
                     rel_in = synthesize_relation(cols, rng)
                     out = t.transform(rel_in)
-                    expected = t.spec.output_for(accepted)
+                    expected = dict(t.spec.outputs)[accepted]
                     if t.spec.passthrough:
                         expected = expected | (cols - accepted)
                     assert set(out.columns) == set(expected), name

@@ -410,13 +410,12 @@ def trec_lines(rel: Relation, tag: str = "flowrank") -> Iterator[str]:
 
     One line per row: ``qid Q0 docno rank score tag`` with the 0-based rank
     and the score printed with six decimal places.  A missing column raises
-    :class:`MissingColumn` here, before any line is formatted, and a qid or
-    docno that is empty or holds whitespace, which would not make a line of
-    six fields, raises :class:`DataError` naming it.
+    :class:`MissingColumn` here, before any line is formatted, and a qid,
+    docno or tag that is empty or holds whitespace, which would not make a
+    line of six fields, raises :class:`DataError` naming it.
     """
     _need(rel, RANKING, "format_trec_run")
-    for name in ("qid", "docno"):
-        values = rel.column(name)
+    for name, values in (("qid", rel.column("qid")), ("docno", rel.column("docno")), ("tag", [tag])):
         # "" vanishes from the join, so it is looked for on its own
         if "" in values or _WHITESPACE.search("".join(values)):
             bad = next(v for v in values if not v or _WHITESPACE.search(v))

@@ -118,8 +118,16 @@ def _not_utf8(path) -> str:
     return f"{path}: not UTF-8"
 
 
-# JSON values a corpus docno or text may not be, by the type they decode to
-_NOT_TEXT = {type(None): "null", bool: "a boolean", dict: "an object", list: "an array"}
+# each JSON value's kind, by the type it decodes to
+_JSON_KIND = {
+    type(None): "null",
+    bool: "a boolean",
+    int: "an integer",
+    float: "a float",
+    str: "a string",
+    dict: "an object",
+    list: "an array",
+}
 
 
 def read_corpus(path) -> Iterator[tuple[str, str]]:
@@ -141,8 +149,8 @@ def read_corpus(path) -> Iterator[tuple[str, str]]:
         if not isinstance(obj, dict) or "docno" not in obj or "text" not in obj:
             raise FormatError(f"{path}:{lineno}: expected an object with docno and text")
         for key in ("docno", "text"):
-            kind = _NOT_TEXT.get(type(obj[key]))
-            if kind is not None:
+            if type(obj[key]) not in (str, int, float):
+                kind = _JSON_KIND[type(obj[key])]
                 raise FormatError(f"{path}:{lineno}: {key} must be a string or a number, not {kind}")
         yield str(obj["docno"]), str(obj["text"])
 
@@ -238,8 +246,17 @@ def _read_lines(file: Path) -> Iterator[str]:
         raise CorruptIndex(str(file), str(exc)) from exc
 
 
-# the exceptions that malformed JSON values raise when unpacked and converted
+# the exceptions that malformed JSON values raise when unpacked and checked
 _BAD_VALUE = (ValueError, KeyError, TypeError, OverflowError)
+
+
+def _typed(obj, key: str, *types: type):
+    """``obj[key]``; a TypeError unless its type is one of *types* (a bool is no int)."""
+    value = obj[key]
+    if type(value) not in types:
+        kinds = " or ".join(map(_JSON_KIND.get, types))
+        raise TypeError(f"{key} must be {kinds}, not {_JSON_KIND[type(value)]}")
+    return value
 
 
 def _read_docs(file: Path, n_docs: int) -> tuple[dict[str, int], tuple[str, ...], tuple[int, ...]]:
@@ -250,8 +267,8 @@ def _read_docs(file: Path, n_docs: int) -> tuple[dict[str, int], tuple[str, ...]
     for lineno, line in enumerate(_read_lines(file), start=1):
         try:
             obj = json.loads(line)
-            doc_id, docno = int(obj["doc_id"]), str(obj["docno"])
-            doc_len, text = int(obj["doc_len"]), str(obj["text"])
+            doc_id, docno = _typed(obj, "doc_id", int), _typed(obj, "docno", str)
+            doc_len, text = _typed(obj, "doc_len", int), _typed(obj, "text", str)
         except _BAD_VALUE as exc:
             raise CorruptIndex(str(file), f"line {lineno}: {exc}") from exc
         if doc_id != len(ids):
@@ -360,7 +377,9 @@ class Index:
             raise VersionMismatch(meta["format_version"], FORMAT_VERSION)
         try:
             self._stats = IndexStats(
-                int(meta["n_docs"]), float(meta["avg_doc_len"]), int(meta["total_tokens"])
+                _typed(meta, "n_docs", int),
+                float(_typed(meta, "avg_doc_len", int, float)),
+                _typed(meta, "total_tokens", int),
             )
         except _BAD_VALUE as exc:
             raise CorruptIndex(str(meta_file), f"bad stats fields: {exc}") from exc

@@ -93,6 +93,13 @@ class TestSearchCommand:
         assert captured.out == ""
         assert captured.err == "error: qid 'q 1' cannot be written to a TREC run: it is empty or holds whitespace\n"
 
+    @pytest.mark.parametrize("tag", ["my run", ""])
+    def test_spaced_or_empty_tag_fails_before_any_output(self, workspace, capsys, tag):
+        assert main(["search", "--index", "ix", "--pipeline", "bm25", "--topics", "topics.tsv", "--tag", tag]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tag {tag!r} cannot be written to a TREC run: it is empty or holds whitespace\n"
+
     @pytest.mark.parametrize("chunk", [1, 4, 6, 7])
     def test_chunked_run_equals_format_trec_run(self, workspace, capsys, monkeypatch, chunk):
         # 6 lines: chunks of 1 and 6 divide them, 4 leaves a partial last chunk, 7 is one chunk

@@ -77,6 +77,11 @@ class TestElaborate:
         with pytest.raises(BadArgument):
             elaborate(parse("bm25(b=7.0)"), toy_registry)
 
+    def test_sdm_weights_must_sum_to_one(self, toy_registry):
+        with pytest.raises(BadArgument) as err:
+            elaborate(parse("sdm(lambda_t=0.5, lambda_o=0.6)"), toy_registry)
+        assert str(err.value) == "bad argument for 'sdm': lambda_t + lambda_o must equal 1"
+
     def test_overflowing_literal_is_rejected(self, toy_registry):
         # 1e999 reads as inf, which Bm25Params and RRF reject
         with pytest.raises(BadArgument):

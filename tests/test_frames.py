@@ -337,12 +337,15 @@ class TestExternalFormats:
         with pytest.raises(MissingColumn):
             format_trec_run(rel([{"qid": "q1", "query": "x"}], ["qid", "query"]))
 
-    @pytest.mark.parametrize("column", ["qid", "docno"])
+    @pytest.mark.parametrize("column", ["qid", "docno", "tag"])
     @pytest.mark.parametrize("value", ["", "q 1", "d\t2", "x\n", "\u00a0"])
     def test_trec_run_refuses_an_empty_or_spaced_qid_or_docno(self, column, value):
-        rows = [{"qid": "q1", "docno": "d1", "score": 2.0}, {"qid": "q1", "docno": "d2", "score": 1.0}]
-        rows[1][column] = value
+        fields = {"qid": "q1", "docno": "d2", "tag": "run", column: value}
+        rows = [
+            {"qid": "q1", "docno": "d1", "score": 2.0},
+            {"qid": fields["qid"], "docno": fields["docno"], "score": 1.0},
+        ]
         ranked = sort_and_rank(rel(rows, ["qid", "docno", "score"]))
         with pytest.raises(DataError) as err:
-            format_trec_run(ranked)
+            format_trec_run(ranked, fields["tag"])
         assert str(err.value) == f"{column} {value!r} cannot be written to a TREC run: it is empty or holds whitespace"

@@ -287,6 +287,18 @@ class TestLoadIndex:
             load_index(out).postings("fox")
         assert "postings.jsonl" in str(err.value)
 
+    def test_tf_below_one_is_named(self, tmp_path):
+        out = tmp_path / "ix"
+        build_index(TOY5, out)
+        file = out / "postings.jsonl"
+        lines = file.read_text(encoding="utf-8").splitlines()
+        at = next(i for i, line in enumerate(lines) if json.loads(line)["term"] == "barks")
+        lines[at] = json.dumps({**json.loads(lines[at]), "cf": 0, "tfs": [0], "positions": []})
+        file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorruptIndex) as err:
+            load_index(out).postings("fox")
+        assert str(err.value) == f"corrupt index file {file}: line {at + 1}: tf below 1 for term 'barks'"
+
     @settings(max_examples=60, deadline=None, database=None)
     @given(
         docs=st.lists(
@@ -338,6 +350,63 @@ class TestLoadIndex:
         with pytest.raises(CorruptIndex) as err:
             load_index(out).postings("fox")
         assert "meta.json" in str(err.value)
+
+    # d1 is doc_id 0 with 4 tokens; the five documents hold 19
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("text", None, "text must be a string, not null"),
+            ("doc_len", 4.9, "doc_len must be an integer, not a float"),
+            ("doc_id", False, "doc_id must be an integer, not a boolean"),
+            ("doc_len", "4", "doc_len must be an integer, not a string"),
+            ("docno", 1, "docno must be a string, not an integer"),
+        ],
+    )
+    def test_docs_values_of_the_wrong_type_are_corrupt(self, tmp_path, key, value, message):
+        out = tmp_path / "ix"
+        build_index(TOY5, out)
+        lines = (out / "docs.jsonl").read_text(encoding="utf-8").splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), key: value})
+        (out / "docs.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorruptIndex) as err:
+            load_index(out).postings("fox")
+        assert str(err.value) == f"corrupt index file {out / 'docs.jsonl'}: line 1: {message}"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("n_docs", "5", "n_docs must be an integer, not a string"),
+            ("total_tokens", 19.9, "total_tokens must be an integer, not a float"),
+            ("avg_doc_len", "3.8", "avg_doc_len must be an integer or a float, not a string"),
+            ("avg_doc_len", True, "avg_doc_len must be an integer or a float, not a boolean"),
+        ],
+    )
+    def test_meta_values_of_the_wrong_type_are_corrupt(self, tmp_path, key, value, message):
+        out = tmp_path / "ix"
+        build_index(TOY5, out)
+        meta = json.loads((out / "meta.json").read_text())
+        meta[key] = value
+        (out / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(CorruptIndex) as err:
+            load_index(out).postings("fox")
+        assert str(err.value) == f"corrupt index file {out / 'meta.json'}: bad stats fields: {message}"
+
+    @pytest.mark.parametrize(
+        "line, detail",
+        [
+            ('{"doc_id": 5, "docno": "d2", "doc_len": 3, "text": "the lazy dog"}', "doc_id 5 is not dense"),
+            ('{"doc_id": 1, "docno": "d1", "doc_len": 3, "text": "the lazy dog"}', "duplicate docno 'd1'"),
+        ],
+    )
+    def test_docs_ids_must_be_dense_and_docnos_unique(self, tmp_path, line, detail):
+        out = tmp_path / "ix"
+        build_index(TOY5, out)
+        lines = (out / "docs.jsonl").read_text(encoding="utf-8").splitlines()
+        lines[1] = line
+        (out / "docs.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorruptIndex) as err:
+            load_index(out).postings("fox")
+        assert str(err.value) == f"corrupt index file {out / 'docs.jsonl'}: line 2: {detail}"
 
 
 @pytest.fixture(scope="module")
@@ -472,6 +541,14 @@ class TestReadCorpus:
         assert str(err.value) == f"{f}:2: {key} must be a string or a number, not {kind}"
         # numbers are read as their str, as before
         assert next(read_corpus(f)) == ("1", "2.5")
+
+    @pytest.mark.parametrize("line", ['["d1", "alpha"]', '"d1 alpha"', "7"])
+    def test_json_that_is_not_an_object_is_format_error(self, tmp_path, line):
+        f = tmp_path / "corpus.jsonl"
+        f.write_text('{"docno": "d1", "text": "x"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            list(read_corpus(f))
+        assert str(err.value) == f"{f}:2: expected an object with docno and text"
 
     def test_bad_line_reports_position(self, tmp_path):
         f = tmp_path / "corpus.jsonl"

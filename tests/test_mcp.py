@@ -54,6 +54,12 @@ def server(toy_registry, figure1):
         yield handle
 
 
+@pytest.fixture(scope="module")
+def dispatcher(toy_registry):
+    """The protocol logic of a server with one bm25 tool, without HTTP."""
+    return _Dispatcher(ServerConfig(pipelines={"bm25": (elaborate(parse("bm25"), toy_registry), "d")}))
+
+
 class TestToolDescriptor:
     def test_bm25_schema_and_outputs(self, toy_index):
         desc = tool_descriptor("bm25", Leaf(bm25_retriever(toy_index)), "BM25 search")
@@ -124,6 +130,26 @@ class TestProtocol:
         assert resp["id"] == 5
         resp = rpc(server.url, [1, 2, 3])
         assert resp["error"]["code"] == -32600
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ([1], "params must be an object"),
+            ("bm25", "params must be an object"),
+            ({"name": "bm25"}, "arguments.queries must be an array"),
+            ({"name": "bm25", "arguments": ["q1"]}, "arguments.queries must be an array"),
+            ({"name": "bm25", "arguments": {"queries": {"qid": "q1"}}}, "arguments.queries must be an array"),
+        ],
+    )
+    def test_params_of_the_wrong_shape_are_invalid_params(self, dispatcher, params, message):
+        reply = dispatcher.dispatch({"jsonrpc": "2.0", "id": 9, "method": "tools/call", "params": params})
+        assert json.loads(reply) == {"jsonrpc": "2.0", "id": 9, "error": {"code": -32602, "message": message}}
+
+    def test_a_batch_is_one_invalid_request(self, dispatcher):
+        # protocol 2025-03-26 allows JSON-RPC batches; this server does not take them
+        batch = [{"jsonrpc": "2.0", "id": 1, "method": "initialize"}, {"jsonrpc": "2.0", "id": 2, "method": "tools/list"}]
+        reply = dispatcher.dispatch_bytes(json.dumps(batch).encode("utf-8"))
+        assert reply == b'{"jsonrpc": "2.0", "id": null, "error": {"code": -32600, "message": "Invalid Request"}}'
 
     def test_unknown_tool_is_invalid_params(self, server):
         resp = rpc(

@@ -219,6 +219,22 @@ class TestWeightedQueryGrammar:
             parse_weighted_query("#w(0.5) Fox!")
 
     @pytest.mark.parametrize(
+        "query, position, detail",
+        [
+            ("quick fox", 0, "expected '#w(' or '#ow('"),
+            ("#w(0.5) quick #x(1) fox", 14, "expected '#w(' or '#ow('"),
+            ("#w(0.5)quick", 7, "expected a single space between items"),
+            ("#w(0.5) quick #ow(0.5)fox", 22, "expected a single space between items"),
+            ("", 0, "empty weighted query"),
+        ],
+    )
+    def test_malformed_query_names_its_offset(self, query, position, detail):
+        with pytest.raises(MalformedWeightedQuery) as err:
+            parse_weighted_query(query)
+        assert err.value.position == position
+        assert str(err.value) == f"malformed weighted query at offset {position}: {detail}"
+
+    @pytest.mark.parametrize(
         "query", ["#w(nan) quick fox", "#w(inf) quick", "#w(0.9) quick #ow(-inf) quick fox", "#ow(NaN) quick fox"]
     )
     def test_non_finite_weight_rejected_at_its_leaf(self, toy_index, query):

@@ -7,8 +7,10 @@ scores and the docno tie-break are exercised too.  The runs of three
 reference pipelines and the figure-1 answers must match the files under
 ``tests/goldens/`` byte for byte.  So must the figure-1 schematics, which
 ``test_schematic.py`` and the acceptance suite check as well, the
-``flowrank inspect`` output of the README pipelines, and the MCP
-``tools/list`` reply of a server with a ``bm25`` and a figure-1 tool.
+``flowrank inspect`` output of the README pipelines, the MCP
+``tools/list`` reply of a server with a ``bm25`` and a figure-1 tool, and
+the exact ``tools/call`` reply bytes on the seeded corpus and on hand-made
+relations with awkward cells (``tools_call.json``).
 
 After a deliberate ranking or schematic change, regenerate the files with::
 
@@ -34,7 +36,7 @@ from flowrank.algebra import execute
 from flowrank.dsl import elaborate, parse, render
 from flowrank.frames import Relation, format_trec_run
 from flowrank.index import build_index, load_index
-from flowrank.mcp import ServerConfig, _Dispatcher
+from flowrank.mcp import ServerConfig, _Dispatcher, _encode_result
 from flowrank.schematic import build_schematic, render_html, render_text
 from flowrank.transformers import registry
 
@@ -54,6 +56,32 @@ RUNS = {
 ANSWERS = ("figure1_answers.tsv", "rrf(bm25, sdm >> wbm25) >> text_loader >> rescore >> answer")
 INSPECTED = ("bm25", "bm25 >> text_loader", FIGURE1_EXPR)
 TOOLS = {"bm25": "bm25", "figure1": FIGURE1_EXPR}
+# tools/call over the seeded corpus: (tool, expression, qids of the call)
+CALLS = {
+    "bm25": ("bm25", ["q03"]),
+    "figure1_rescored": (RUNS["figure1_rescored.trec"], ["q07"]),
+    "bm25_three_queries": ("bm25", ["q01", "q12", "q20"]),
+}
+# relations whose replies pin the encoder's escaping and number formats
+_AWKWARD = "\t\n\"quoted\" back\\slash \u2028 \u0085 caf\u00e9 \U0001f600 100%"
+ENCODED = {
+    "escapes": Relation(
+        ("qid", "query", "docno", "text", "score", "rank", "50% note"),
+        [
+            ("q1", _AWKWARD, "d1", "tab\there\nnewline", 2.5, 0, "%s %d %%"),
+            ("q1", _AWKWARD, "d%2", "plain", -0.0, 1, None),
+        ],
+    ),
+    "nulls": Relation(
+        ("qid", "docno", "text", "score", "rank", "note"),
+        [("q1", "d1", None, 2.0, 0, "x"), ("q1", "d2", "t", 1.0, 1, None)],
+    ),
+    "null_rank": Relation(("qid", "rank"), [("q1", 3), ("q2", None)]),
+    "query_vec": Relation(("qid", "query_vec", "score"), [("q1", (0.5, -0.0, 1e-7, 3.0), 1.0), ("q2", None, 0.0)]),
+    "negative_zero": Relation(("qid", "docno", "score", "rank"), [("q1", "d1", 0.0, 0), ("q1", "d2", -0.0, 1)]),
+    "empty": Relation(("qid", "docno", "score", "rank"), []),
+    "no_columns": Relation((), [(), ()]),
+}
 
 
 def _words(rng: random.Random) -> list[str]:
@@ -148,6 +176,26 @@ def produce_inspections() -> dict[str, str]:
     return {"inspect.txt": "".join(inspected), "tools_list.json": reply.decode("ascii") + "\n"}
 
 
+def produce_tool_calls(index_dir: Path) -> dict[str, str]:
+    """``tools_call.json``: the bytes ``_Dispatcher.dispatch`` returns for
+    each of :data:`CALLS` over the seeded corpus indexed at *index_dir*, and
+    the bytes ``_encode_result`` gives for each of :data:`ENCODED`."""
+    docs, queries = make_corpus()
+    build_index(docs, index_dir)
+    reg = registry(load_index(index_dir))
+    text = dict(queries)
+    pipelines = {name: (elaborate(parse(expr), reg), "d") for name, (expr, _) in CALLS.items()}
+    dispatcher = _Dispatcher(ServerConfig(pipelines=pipelines))
+    replies = {}
+    for n, (name, (_, qids)) in enumerate(CALLS.items()):
+        arguments = {"queries": [{"qid": qid, "query": text[qid]} for qid in qids]}
+        request = {"jsonrpc": "2.0", "id": n, "method": "tools/call", "params": {"name": name, "arguments": arguments}}
+        replies[f"call:{name}"] = dispatcher.dispatch(request).decode("ascii")
+    for name, rel in ENCODED.items():
+        replies[f"encode:{name}"] = _encode_result(f"id \"{name}\"", rel).decode("ascii")
+    return {"tools_call.json": json.dumps(replies, indent=1) + "\n"}
+
+
 @pytest.fixture(scope="module")
 def produced(tmp_path_factory):
     return produce(tmp_path_factory.mktemp("goldens") / "index")
@@ -178,9 +226,15 @@ files = {
     **test_goldens.produce(Path("index")),
     **test_goldens.produce_schematics(),
     **test_goldens.produce_inspections(),
+    **test_goldens.produce_tool_calls(Path("calls")),
 }
 sys.stdout.write(json.dumps(files, sort_keys=True))
 """
+
+
+def test_tool_calls_match_golden(tmp_path):
+    for name, text in produce_tool_calls(tmp_path / "index").items():
+        assert text == (GOLDENS / name).read_text(encoding="utf-8"), name
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
@@ -209,7 +263,12 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            files = {**produce(Path(tmp) / "index"), **produce_schematics(), **produce_inspections()}
+            files = {
+                **produce(Path(tmp) / "index"),
+                **produce_schematics(),
+                **produce_inspections(),
+                **produce_tool_calls(Path(tmp) / "calls"),
+            }
         finally:
             os.chdir(cwd)
         for name, text in files.items():

@@ -41,7 +41,7 @@ from .inspect import (
     subtransformers,
     validate,
 )
-from .mcp import ServerConfig, ToolDescriptor, serve, tool_descriptor
+from .mcp import ServerConfig, ToolDescriptor, relation_to_json_rows, relation_to_text, serve, tool_descriptor
 from .schematic import SchematicGraph, build_schematic, render_html, render_text
 from .transformers import (
     Bm25Params,

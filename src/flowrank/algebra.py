@@ -148,14 +148,16 @@ def _contribution(node: Linear | RRF, i: int, out: Relation, path: tuple[int, ..
     """Child *i*'s part of the fused score per ``(qid, docno)`` of its output *out*.
 
     The child is put in the engine's ranking order, whatever order or
-    ranks it came with, and ranked by position.  Its part is ``weight *
+    ranks it came with, unless it is marked ranked (see
+    :meth:`Relation._trusted`) and so in that order already; it is ranked
+    by position.  Its part is ``weight *
     score`` under :class:`Linear` and ``1 / (k + rank + 1)`` under
     :class:`RRF`.  The child must hold each ``(qid, docno)`` at most once;
     an error carries the child's path, *path* of the fusion node plus *i*.
     """
     try:
         q, s, d = map(out.columns.index, ("qid", "score", "docno"))
-        rows = ordered(out.rows, s, d, q)
+        rows = out.rows if out._ranked else ordered(out.rows, s, d, q)
         keys = zip(map(itemgetter(q), rows), map(itemgetter(d), rows))
         if isinstance(node, Linear):
             values = map(mul, repeat(node.weights[i]), map(itemgetter(s), rows))
@@ -198,4 +200,5 @@ def _fuse(node: Linear | RRF, outputs: list[Relation], path: tuple[int, ...]) ->
         for row in zip(*map(out.column, lead)):
             cells.setdefault(row[0], row)
     rows = [cells[qid] + (docno, total) for (qid, docno), total in zip(keys, totals)]
-    return Relation._trusted(*rank_tuples(columns, rows))
+    # keys: a dict's, from the children's non-null qids and docnos
+    return Relation._trusted(*rank_tuples(columns, rows), ranked=True)

@@ -11,7 +11,9 @@ stages build their outputs from cells of already-checked relations plus
 values they compute, through :meth:`Relation._trusted`, which skips that
 per-cell type pass and the rank check: the engine orders every ranking it
 produces once, through :func:`ordered`, and writes its ranks from that
-order.
+order.  A stage that also builds its keys unique and non-null, as the
+retrievers and the fusion operators do, skips the frame check as well, and
+its output is marked ranked.
 """
 
 from __future__ import annotations
@@ -153,6 +155,9 @@ class Relation:
     columns: tuple[str, ...]
     rows: tuple[tuple, ...] = field(default=())
 
+    # set by _trusted(..., ranked=True); not a field, so not in ==, repr or any rendering
+    _ranked = False
+
     def __post_init__(self):
         names = _check_names(self.columns)
         object.__setattr__(self, "columns", names)
@@ -168,7 +173,7 @@ class Relation:
             self._check_ranks()
 
     @classmethod
-    def _trusted(cls, columns: Sequence[str], rows: Iterable[tuple]) -> "Relation":
+    def _trusted(cls, columns: Sequence[str], rows: Iterable[tuple], ranked: bool = False) -> "Relation":
         """Engine-only constructor over row tuples whose cells are known to type-check.
 
         Cells copied from checked relations keep their column's type, and
@@ -180,11 +185,21 @@ class Relation:
         checked relation.  A stage may still change the frame kind and so gain
         required columns and a primary key: :meth:`_check_frame` checks them
         as public construction does.
+
+        With *ranked* the caller vouches for that too: its rows are an R
+        frame in :func:`ordered` order, ranked by position within each qid,
+        whose ``(qid, docno)`` keys it built unique and non-null (as dict
+        keys, from non-null values).  The frame check is then skipped, and
+        the relation is marked ranked, so fusion takes its rows in the order
+        they come.
         """
         rel = object.__new__(cls)
         object.__setattr__(rel, "columns", _check_names(columns))
         object.__setattr__(rel, "rows", tuple(rows))
-        rel._check_frame()
+        if ranked:
+            object.__setattr__(rel, "_ranked", True)
+        else:
+            rel._check_frame()
         return rel
 
     def _check_frame(self):

@@ -246,8 +246,9 @@ def _read_lines(file: Path) -> Iterator[str]:
         raise CorruptIndex(str(file), str(exc)) from exc
 
 
-# the exceptions that malformed JSON values raise when unpacked and checked
-_BAD_VALUE = (ValueError, KeyError, TypeError, OverflowError)
+# the exceptions that malformed JSON raises when decoded (RecursionError:
+# arrays nested deeper than the decoder recurses), unpacked and checked
+_BAD_VALUE = (ValueError, RecursionError, KeyError, TypeError, OverflowError)
 
 
 def _typed(obj, key: str, *types: type):
@@ -334,7 +335,7 @@ def _read_postings(file: Path, ids: tuple[int, ...], doc_lens: tuple[int, ...]) 
     for lineno, line in enumerate(_read_lines(file), start=1):
         try:
             obj = json.loads(line)
-            term, df, cf = str(obj["term"]), obj["df"], obj["cf"]
+            term, df, cf = _typed(obj, "term", str), obj["df"], obj["cf"]
             doc_ids, tfs, positions = obj["doc_ids"], obj["tfs"], obj["positions"]
         except _BAD_VALUE as exc:
             raise CorruptIndex(str(file), f"line {lineno}: {exc}") from exc
@@ -369,7 +370,7 @@ class Index:
             meta = json.loads(meta_file.read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError) as exc:
             raise CorruptIndex(str(meta_file), str(exc)) from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise CorruptIndex(str(meta_file), f"invalid JSON: {exc}") from exc
         if not isinstance(meta, dict) or "format_version" not in meta:
             raise CorruptIndex(str(meta_file), "missing format_version")

@@ -120,63 +120,80 @@ def _text_cell(value) -> str:
     return f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
-def _transposed(columns: list, n_rows: int):
-    """Rows of cells from *columns*; a relation without columns still has its rows."""
-    return zip(*columns) if columns else repeat((), n_rows)
+def relation_to_text(rel: Relation) -> str:
+    """Human-readable tab-separated rendering for chat clients."""
+    return "\n".join(["\t".join(rel.columns), *("\t".join(map(_text_cell, row)) for row in rel.rows)])
 
 
-def relation_to_text(rel: Relation, text_columns=None) -> str:
-    """Human-readable tab-separated rendering for chat clients.
-
-    *text_columns*, one list of cell strings per column, saves the reply
-    encoder formatting each cell twice.
-    """
-    if text_columns is None:
-        text_columns = [list(map(_text_cell, values)) for values in zip(*rel.rows)]
-    return "\n".join(["\t".join(rel.columns), *map("\t".join, _transposed(text_columns, len(rel.rows)))])
+def _escaped(text: str) -> str:
+    """*text* as ``json.dumps`` writes it between a JSON string's quotes."""
+    return encode_basestring_ascii(text)[1:-1]
 
 
-def _encode_column(values: tuple) -> tuple[list[str], list[str]]:
-    """One column's (JSON cells, text cells), each cell formatted once.
+def _encode_column(values: tuple) -> tuple:
+    """One column's (JSON cells, JSON cell format, text cells), each cell formatted once.
 
-    A float is written ``%.6f``: as JSON that parses to exactly
-    ``float(f"{v:.6f}")``, the value :func:`relation_to_json_rows` gives.
-    Text is escaped as ``json.dumps`` escapes it, each distinct value once.
-    Any other column (float vectors, nulls among floats or ints, a float
-    that is not finite) goes through :func:`_json_value` cell by cell.
+    Text cells are escaped for the inside of a JSON string.  A float is
+    written ``%.6f``: as JSON that parses to exactly ``float(f"{v:.6f}")``,
+    the value :func:`relation_to_json_rows` gives.  A text column is
+    escaped as ``json.dumps`` escapes it, each distinct value once, and one
+    list of its cells serves both renderings under the format ``"%s"``; when
+    the joined column needs no escaping, that list is *values* itself.  Any
+    other column (float vectors, nulls, a float that is not finite) goes
+    through :func:`_json_value` cell by cell.
     """
     kinds = set(map(type, values))
+    if kinds == {str}:
+        joined = "".join(values)
+        if len(encode_basestring_ascii(joined)) != len(joined) + 2:  # some character is escaped
+            escaped = {text: _escaped(text) for text in set(values)}
+            values = list(map(escaped.__getitem__, values))
+        return values, '"%s"', values
     if kinds == {float} and all(map(math.isfinite, values)):
         cells = list(map("%.6f".__mod__, values))
-        return cells, cells
+        return cells, "%s", cells
     if kinds == {int}:
         cells = list(map(repr, values))
-        return cells, cells
-    if kinds <= {str, type(None)}:
-        distinct = set(values) - {None}
-        escaped = dict(zip(distinct, map(encode_basestring_ascii, distinct)))
-        escaped[None] = "null"
-        return list(map(escaped.__getitem__, values)), list(map(str, values))
-    return [json.dumps(_json_value(v)) for v in values], list(map(_text_cell, values))
+        return cells, "%s", cells
+    return [json.dumps(_json_value(v)) for v in values], "%s", [_escaped(_text_cell(v)) for v in values]
+
+
+def _interleaved(columns: list, n_rows: int) -> tuple:
+    """The cells of *columns* in row order, one flat tuple of ``n_rows * len(columns)``."""
+    flat = [None] * (n_rows * len(columns))
+    for i, cells in enumerate(columns):
+        flat[i :: len(columns)] = cells
+    return tuple(flat)
 
 
 def _encode_result(id_, rel: Relation) -> bytes:
     """The ``tools/call`` reply for *rel*, built column by column.
 
-    It parses to the same values as ``json.dumps`` of
-    :func:`relation_to_json_rows` and :func:`relation_to_text` in the
-    result envelope.  A float that is not finite raises :class:`DataError`.
+    Its bytes are those of ``json.dumps`` of :func:`relation_to_json_rows`
+    and :func:`relation_to_text` in the result envelope, except that a
+    float in ``rows`` is written ``%.6f``.  ``rows`` and ``text`` are each
+    one ``%`` over a repeated row template, filled with every cell of
+    :func:`_encode_column` in row order.  A float that is not finite raises
+    :class:`DataError`.
     """
     try:
         columns = list(map(_encode_column, zip(*rel.rows)))
     except DataError:
         relation_to_json_rows(rel)  # raises for the first value, in row order, that is not finite
         raise
-    row = "{%s}" % ", ".join(encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name in rel.columns)
-    rows = ", ".join(map(row.__mod__, _transposed([cells for cells, _ in columns], len(rel.rows))))
-    text = encode_basestring_ascii(relation_to_text(rel, [cells for _, cells in columns]))
+    n = len(rel.rows)
+    # a relation without rows has no column cells: its templates repeat zero times
+    names = [_escaped(name).replace("%", "%%") for name in rel.columns]
+    row = "{%s}" % ", ".join(f'"{name}": {fmt}' for name, (_, fmt, _) in zip(names, columns))
+    json_cells, text_cells = [cells for cells, _, _ in columns], [cells for _, _, cells in columns]
+    flat = _interleaved(json_cells, n)
+    rows = ", ".join(repeat(row, n)) % flat
+    if text_cells != json_cells:  # only a column encoded cell by cell has two lists
+        flat = _interleaved(text_cells, n)
+    line = "\\t".join(repeat("%s", len(names)))
+    text = "\\n".join(["\\t".join(names), *repeat(line, n)]) % flat
     return (
-        '{"jsonrpc": "2.0", "id": %s, "result": {"content": [{"type": "text", "text": %s}], '
+        '{"jsonrpc": "2.0", "id": %s, "result": {"content": [{"type": "text", "text": "%s"}], '
         '"rows": [%s], "isError": false}}' % (json.dumps(id_), text, rows)
     ).encode("ascii")
 

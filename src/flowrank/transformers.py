@@ -216,19 +216,26 @@ def parse_weighted_query(query: str) -> list[tuple[str, float, list[str]]]:
 # --------------------------------------------------------------------------
 
 
-def _length_norms(index: Index, params: Bm25Params) -> dict[int, float]:
-    """BM25's length norm of each distinct document length in *index*."""
+def _length_norms(index: Index, params: Bm25Params) -> list[float]:
+    """BM25's length norm of each document in *index*, indexed by doc_id.
+
+    It is computed once per distinct length, and documents of one length
+    share that float.
+    """
     avgdl, k1, b = index.avg_doc_len, params.k1, params.b
-    # avgdl is 0 only when no document has a token, and then nothing matches
-    return {dl: k1 * (1.0 - b + b * dl / avgdl) for dl in set(index.doc_lens())} if avgdl else {}
+    if not avgdl:  # no document has a token, and then nothing matches
+        return []
+    doc_lens = index.doc_lens()
+    by_length = {dl: k1 * (1.0 - b + b * dl / avgdl) for dl in set(doc_lens)}
+    return list(map(by_length.__getitem__, doc_lens))
 
 
-def _score_groups(index: Index, params: Bm25Params, groups, norms: dict[int, float]) -> list[tuple[str, float]]:
+def _score_groups(index: Index, params: Bm25Params, groups, norms: list[float]) -> list[tuple[str, float]]:
     """Score every matching document; returns the top (docno, score) pairs.
 
     Term at a time, one list comprehension per term or window: its idf is
-    computed once per call, and the length norm of each distinct document
-    length is read from *norms* (:func:`_length_norms`).  A document
+    computed once per call, and each document's length norm is read from
+    *norms* (:func:`_length_norms`) by its doc_id.  A document
     matched by one term or window keeps its weighted part as a bare float;
     only documents matched more than once get a list of parts, summed by
     ``fsum`` in query order.  The documents are sorted once by score; the
@@ -244,7 +251,7 @@ def _score_groups(index: Index, params: Bm25Params, groups, norms: dict[int, flo
         else:
             t1, t2 = tokens
             plists.append((weight, *adjacent_counts(index.columns(t1), index.columns(t2))))
-    n_docs, doc_lens, k1 = index.n_docs, index.doc_lens(), params.k1
+    n_docs, k1 = index.n_docs, params.k1
     # a document's one part, or the last of its parts while shared holds them all
     scores: dict[int, float] = {}
     shared: dict[int, list[float]] = {}  # documents matched more than once
@@ -252,7 +259,7 @@ def _score_groups(index: Index, params: Bm25Params, groups, norms: dict[int, flo
         df = len(doc_ids)
         idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
         parts = dict(
-            zip(doc_ids, [weight * (idf * tf * (k1 + 1.0) / (tf + norms[doc_lens[d]])) for d, tf in zip(doc_ids, tfs)])
+            zip(doc_ids, [weight * (idf * tf * (k1 + 1.0) / (tf + norms[d])) for d, tf in zip(doc_ids, tfs)])
         )
         for d in parts.keys() & scores.keys():
             if d in shared:
@@ -305,7 +312,8 @@ def _retriever(name: str, description: str, index: Index, params: Bm25Params, we
             # (qid, query) + (docno, score) + (rank,), ranked by position
             top = map(add, repeat((qid, query)), _score_groups(index, params, groups, norms))
             rows += map(add, top, zip(count()))
-        return Relation._trusted(_RETRIEVER_OUT, rows)
+        # keys: distinct qids, each with the docnos of one dict of doc ids
+        return Relation._trusted(_RETRIEVER_OUT, rows, ranked=True)
 
     return Transformer(
         name=name,

@@ -1,14 +1,18 @@
-"""Shared fixtures: the five-document toy corpus, a session index, and
-helpers for synthesizing random-but-valid relations and pipeline trees."""
+"""Shared fixtures: the five-document toy corpus, a session index,
+helpers for synthesizing random-but-valid relations and pipeline trees, and
+a hook that re-runs the checks the engine skips on what it has proven."""
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import random
 
 import pytest
 
 from flowrank.algebra import Leaf, Linear, RRF, Then
-from flowrank.frames import Relation, canonical_columns, rank_tuples, sort_and_rank
+from flowrank.errors import DataError
+from flowrank.frames import Relation, canonical_columns, dense_ranks, ordered, rank_tuples, sort_and_rank
 from flowrank.index import build_index, load_index, tokenize
 from flowrank.transformers import Transformer, TransformerSpec, registry, spec
 
@@ -285,3 +289,50 @@ def random_expr(rng: random.Random, depth: int) -> str:
         return " + ".join(terms)
     inner = ", ".join(random_expr(rng, depth - 1) for _ in range(rng.randint(2, 3)))
     return f"rrf({inner}, k={rng.choice([60.0, 10.0])})"
+
+
+# ---------------------------------------------------------------------------
+# Proven outputs, re-checked
+# ---------------------------------------------------------------------------
+
+
+def recheck(rel: Relation) -> None:
+    """Every check ``Relation._trusted`` skipped on *rel*; AssertionError if one fires.
+
+    That is the frame check and the rank check of public construction and,
+    for a relation marked ranked, the row order and the ranks by position
+    that fusion relies on.  The error is not a ``FlowrankError``, so no
+    caller that expects those swallows it.
+    """
+    try:
+        rel._check_frame()
+        if {"qid", "score", "rank"} <= set(rel.columns):
+            rel._check_ranks()
+        if rel._ranked:
+            q, s, d = map(rel.columns.index, ("qid", "score", "docno"))
+            if list(rel.rows) != ordered(rel.rows, s, d, q):
+                raise DataError("rows are not in ranking order")
+            if rel.column("rank") != tuple(dense_ranks(rel.rows, q)):
+                raise DataError("ranks are not by position")
+    except DataError as exc:
+        raise AssertionError(f"a skipped check fires on {'a ranked' if rel._ranked else 'an'} engine output: {exc}")
+
+
+@contextlib.contextmanager
+def rechecked_proofs():
+    """Run :func:`recheck` on every relation ``Relation._trusted`` builds.
+
+    Yields a counter of the relations checked, ``ranked`` and ``other``.
+    """
+    trusted = Relation._trusted.__func__
+    seen = collections.Counter()
+
+    def rechecking(cls, columns, rows, ranked=False):
+        rel = trusted(cls, columns, rows, ranked)
+        recheck(rel)
+        seen["ranked" if rel._ranked else "other"] += 1
+        return rel
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Relation, "_trusted", classmethod(rechecking))
+        yield seen

@@ -30,6 +30,7 @@ from conftest import (
     TOY5,
     random_expr,
     random_tree,
+    rechecked_proofs,
     stub_run,
     synthesize_relation,
 )
@@ -74,7 +75,8 @@ def test_criterion_2_validation_semantics(toy_index_dir):
 
 
 def test_criterion_3_soundness_and_agreement(toy_registry, synthetic_transformers):
-    with criterion(3, 30.0, "500 random trees: validate ok implies clean execution"):
+    # every relation the engine builds passes the checks it skipped
+    with criterion(3, 30.0, "500 random trees: validate ok implies clean execution"), rechecked_proofs() as seen:
         pool = [factory() for factory in toy_registry.values()] + synthetic_transformers
         given_pool = [
             frozenset({"qid", "query"}),
@@ -104,6 +106,7 @@ def test_criterion_3_soundness_and_agreement(toy_registry, synthetic_transformer
                 assert set(out.columns) == set(output_columns(tree, given)), f"tree {i}"
                 executed += 1
         assert executed >= 100, f"only {executed} validated executions exercised"
+        assert seen["ranked"] >= 100 and seen["other"] >= 100, seen
 
 
 def _random_runs(rng, n_children_range=(2, 4), max_qids=5, max_docnos=20):

@@ -1,7 +1,8 @@
 """Property fuzzers over the two edges where text enters: expressions and JSON-RPC requests.
 
 Expressions go through ``parse``, ``elaborate`` and ``execute``; the only
-exception any of them may raise is a :class:`FlowrankError`.  Request
+exception any of them may raise is a :class:`FlowrankError`, and every
+relation the engine builds passes the checks it skipped.  Request
 objects go through ``_Dispatcher.dispatch``; no reply is an internal
 error (-32603), and every reply is strict JSON (RFC 8259: no ``NaN`` or
 ``Infinity``).  Each runs derandomized with a bounded example count, so a
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,9 +23,15 @@ from flowrank.errors import FlowrankError
 from flowrank.frames import Relation
 from flowrank.mcp import INTERNAL_ERROR, ServerConfig, _Dispatcher
 
-from conftest import FIGURE1_EXPR
+from conftest import FIGURE1_EXPR, rechecked_proofs
 
 FUZZ = settings(max_examples=400, deadline=None, database=None, derandomize=True)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _proofs_rechecked():
+    with rechecked_proofs():
+        yield
 
 _NAMES = ["bm25", "wbm25", "sdm", "text_loader", "rescore", "answer", "nosuch"]
 _KWARGS = ["k1", "b", "num_results", "lambda_t", "lambda_o", "k", "x"]

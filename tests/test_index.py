@@ -391,6 +391,31 @@ class TestLoadIndex:
             load_index(out).postings("fox")
         assert str(err.value) == f"corrupt index file {out / 'meta.json'}: bad stats fields: {message}"
 
+    @pytest.mark.parametrize("name", ["meta.json", "docs.jsonl", "postings.jsonl"])
+    def test_deep_nesting_is_corrupt(self, tmp_path, name):
+        # deeper than the JSON decoder recurses: a RecursionError, not a ValueError
+        out = tmp_path / "ix"
+        build_index(TOY5, out)
+        lines = (out / name).read_text(encoding="utf-8").splitlines()
+        lines[0] = "[" * 100_000
+        (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorruptIndex) as err:
+            load_index(out).postings("fox")
+        where = "invalid JSON" if name == "meta.json" else "line 1"
+        assert str(err.value).startswith(f"corrupt index file {out / name}: {where}: ")
+
+    def test_a_term_that_is_not_a_string_is_corrupt(self, tmp_path):
+        out = tmp_path / "ix"
+        build_index(TOY5, out)
+        file = out / "postings.jsonl"
+        lines = file.read_text(encoding="utf-8").splitlines()
+        at = next(i for i, line in enumerate(lines) if json.loads(line)["term"] == "barks")
+        lines[at] = json.dumps({**json.loads(lines[at]), "term": 5})
+        file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorruptIndex) as err:
+            load_index(out).terms()
+        assert str(err.value) == f"corrupt index file {file}: line {at + 1}: term must be a string, not an integer"
+
     @pytest.mark.parametrize(
         "line, detail",
         [

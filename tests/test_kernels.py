@@ -156,6 +156,17 @@ def test_index_without_tokens_matches_nothing(tmp_path):
     assert _score_groups(index, Bm25Params(), [("w", 1.0, ["a"])], _length_norms(index, Bm25Params())) == []
 
 
+def test_length_norms_are_indexed_by_doc_id_and_shared_per_length(tmp_path):
+    build_index([("d1", "a b"), ("d2", "a c c"), ("d3", "c"), ("d4", "b c")], tmp_path / "ix")
+    index = load_index(tmp_path / "ix")
+    params = Bm25Params(k1=1.5, b=0.5)
+    norms = _length_norms(index, params)
+    avgdl = index.avg_doc_len
+    assert norms == [params.k1 * (1.0 - params.b + params.b * dl / avgdl) for dl in index.doc_lens()]
+    assert norms[0] is norms[3]  # d1 and d4 both hold two tokens
+    assert len(set(map(id, norms))) == len(set(index.doc_lens())) == 3
+
+
 def test_retriever_builds_its_length_norms_once(tmp_path, monkeypatch):
     build_index([("d1", "a b"), ("d2", "a c c"), ("d3", "c")], tmp_path / "ix")
     index = load_index(tmp_path / "ix")

@@ -30,8 +30,10 @@ FUZZ = settings(max_examples=400, deadline=None, database=None, derandomize=True
 
 @pytest.fixture(autouse=True, scope="module")
 def _proofs_rechecked():
-    with rechecked_proofs():
+    with rechecked_proofs() as seen:
         yield
+    assert seen["ranked"] > 0, seen  # the fuzzed pipelines did rank
+
 
 _NAMES = ["bm25", "wbm25", "sdm", "text_loader", "rescore", "answer", "nosuch"]
 _KWARGS = ["k1", "b", "num_results", "lambda_t", "lambda_o", "k", "x"]

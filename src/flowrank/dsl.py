@@ -141,11 +141,16 @@ def _lex(src: str) -> list[Token]:
 # Parser
 # --------------------------------------------------------------------------
 
+# how many "(" groups and "rrf(" calls may enclose one another: the parser,
+# and every stage after it, recurse once or more per level
+_MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, src: str):
         self.tokens = _lex(src)
         self.pos = 0
+        self.depth = 0  # groups and rrf calls open around the current token
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -176,6 +181,15 @@ class _Parser:
     def at_op(self, op: str, ahead: int = 0) -> bool:
         tok = self.peek(ahead)
         return tok.kind == "OP" and tok.text == op
+
+    def nest(self, tok: Token, parse: Callable[[], PipelineExpr]) -> PipelineExpr:
+        """*parse* one level deeper, opened by *tok*."""
+        if self.depth == _MAX_NESTING:
+            raise ParseError(tok.line, tok.col, f"more than {_MAX_NESTING} nested groups and rrf calls")
+        self.depth += 1
+        expr = parse()
+        self.depth -= 1
+        return expr
 
     def parse_pipeline(self) -> PipelineExpr:
         parts = [self.parse_sum()]
@@ -212,14 +226,11 @@ class _Parser:
     def parse_atom(self) -> PipelineExpr:
         tok = self.peek()
         if tok.kind == "OP" and tok.text == "(":
-            self.advance()
-            inner = self.parse_pipeline()
-            self.expect_op(")")
-            return inner
+            return self.nest(tok, self.parse_group)
         if tok.kind == "IDENT":
             self.advance()
             if tok.text == "rrf" and self.at_op("("):
-                return self.parse_rrf()
+                return self.nest(tok, self.parse_rrf)
             if self.at_op("("):
                 self.advance()
                 kwargs: tuple[tuple[str, object], ...] = ()
@@ -231,6 +242,12 @@ class _Parser:
         raise self.error(
             f"got {tok.text or 'end of input'!r}", expected={"IDENT", "FLOAT", "'('"}
         )
+
+    def parse_group(self) -> PipelineExpr:
+        self.expect_op("(")
+        inner = self.parse_pipeline()
+        self.expect_op(")")
+        return inner
 
     def parse_rrf(self) -> ERRF:
         self.expect_op("(")

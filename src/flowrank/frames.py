@@ -179,12 +179,12 @@ class Relation:
         Cells copied from checked relations keep their column's type, and
         the engine computes only well-typed values, so the per-cell type pass
         is skipped.  Ranks are not checked either: every engine stage either
-        writes them from the order of :func:`ordered` (the retrievers by
-        position, every other stage through :func:`rank_tuples`), keeping a
-        prefix of each qid's ranks at most, or copies them unchanged from a
-        checked relation.  A stage may still change the frame kind and so gain
-        required columns and a primary key: :meth:`_check_frame` checks them
-        as public construction does.
+        writes them from the order of :func:`ordered` (the retrievers and
+        ``rescore`` by position, every other stage through
+        :func:`rank_tuples`), keeping a prefix of each qid's ranks at most, or
+        copies them unchanged from a checked relation.  A stage may still
+        change the frame kind and so gain required columns and a primary key:
+        :meth:`_check_frame` checks them as public construction does.
 
         With *ranked* the caller vouches for that too: its rows are an R
         frame in :func:`ordered` order, ranked by position within each qid,

@@ -15,11 +15,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
-from operator import add, getitem, is_, itemgetter
+from operator import add, is_, itemgetter
 from typing import Callable
 
 from .errors import DataError, EmptyQuery, MalformedWeightedQuery, MissingColumn
-from .frames import Relation, join_on_docno, ordered, put_column, rank_tuples
+from .frames import Relation, join_on_docno, ordered, put_column
 from .index import Index, adjacent_counts, tokenize
 
 
@@ -71,9 +71,9 @@ class Transformer:
     """A named unit mapping one relation to another.
 
     ``fn`` is the raw transform procedure; call :meth:`transform` instead,
-    which checks the input against the spec first.  ``index`` is the index
-    handle ``fn`` reads, if any: transformers over different handles are
-    never equal, though it is not one of the displayed ``attributes``.
+    which checks the columns in and out against the spec.  ``index`` is the
+    index handle ``fn`` reads, if any: transformers over different handles
+    are never equal, though it is not one of the displayed ``attributes``.
     """
 
     name: str
@@ -84,10 +84,16 @@ class Transformer:
     index: Index | None = field(default=None, repr=False)
 
     def transform(self, rel: Relation) -> Relation:
-        if self.spec is not None and self.spec.outputs_for(rel.columns) is None:
+        if self.spec is None:
+            return self.fn(rel)
+        declared = self.spec.outputs_for(rel.columns)
+        if declared is None:
             required = self.spec.closest(rel.columns)
             raise MissingColumn(required - set(rel.columns), required, set(rel.columns), who=self.name)
-        return self.fn(rel)
+        out = self.fn(rel)
+        if frozenset(out.columns) != declared:
+            raise DataError(f"{self.name} produced {sorted(out.columns)} but declares {sorted(declared)}")
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Transformer):
@@ -207,60 +213,41 @@ def parse_weighted_query(query: str) -> list[tuple[str, float, list[str]]]:
 
 
 # --------------------------------------------------------------------------
-# BM25 scoring engine, shared by the plain and weighted retrievers.  Both
-# it and the re-scorer compute a term's part of a document's score as
-#   idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
-#   with idf = log(1.0 + (n_docs - df + 0.5) / (df + 0.5)),
-# in this order of float operations, so their scores are reproducible bit
-# for bit.
+# BM25 scoring engine of the plain and weighted retrievers, whose collection
+# is the index, and of the re-scorer, whose collection is one qid's
+# candidate set.  A term's or window's part of a document's score is
+#   weight * (idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)))
+#   with idf = log(1 + (n_docs - df + 0.5) / (df + 0.5)),
+# each written once below, so every stage's scores agree bit for bit.
 # --------------------------------------------------------------------------
 
 
-def _length_norms(index: Index, params: Bm25Params) -> list[float]:
-    """BM25's length norm of each document in *index*, indexed by doc_id.
+def _length_norms(doc_lens: list[int], avgdl: float, params: Bm25Params) -> list[float]:
+    """BM25's length norm of each document of *doc_lens*, in its order.
 
     It is computed once per distinct length, and documents of one length
     share that float.
     """
-    avgdl, k1, b = index.avg_doc_len, params.k1, params.b
+    k1, b = params.k1, params.b
     if not avgdl:  # no document has a token, and then nothing matches
         return []
-    doc_lens = index.doc_lens()
     by_length = {dl: k1 * (1.0 - b + b * dl / avgdl) for dl in set(doc_lens)}
     return list(map(by_length.__getitem__, doc_lens))
 
 
-def _score_groups(index: Index, params: Bm25Params, groups, norms: list[float]) -> list[tuple[str, float]]:
-    """Score every matching document; returns the top (docno, score) pairs.
-
-    Term at a time, one list comprehension per term or window: its idf is
-    computed once per call, and each document's length norm is read from
-    *norms* (:func:`_length_norms`) by its doc_id.  A document
-    matched by one term or window keeps its weighted part as a bare float;
-    only documents matched more than once get a list of parts, summed by
-    ``fsum`` in query order.  The documents are sorted once by score; the
-    cut keeps the first ``num_results`` and every document tied with the
-    last of them, and only those are put in ranking order, by
-    :func:`~flowrank.frames.ordered`.  A score that is not finite, which
-    only a weight near ``1e308`` can cause, raises :class:`DataError`.
-    """
-    plists = []  # (weight, doc_ids, tfs) per term or window
-    for kind, weight, tokens in groups:
-        if kind == "w":
-            plists.extend((weight, *index.columns(term)[:2]) for term in tokens)
-        else:
-            t1, t2 = tokens
-            plists.append((weight, *adjacent_counts(index.columns(t1), index.columns(t2))))
-    n_docs, k1 = index.n_docs, params.k1
+def _bm25(n_docs: int, k1: float, norms: list[float], plists) -> dict[int, float]:
+    """Each matched document's score by its id, term at a time over *plists*,
+    one ``(weight, doc_ids, tfs)`` per term or window, with its length norm
+    read from *norms* (:func:`_length_norms`).  A document matched once keeps
+    its part as a bare float; only those matched more than once get a list of
+    parts, summed by ``fsum``."""
     # a document's one part, or the last of its parts while shared holds them all
     scores: dict[int, float] = {}
     shared: dict[int, list[float]] = {}  # documents matched more than once
     for weight, doc_ids, tfs in plists:
         df = len(doc_ids)
         idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-        parts = dict(
-            zip(doc_ids, [weight * (idf * tf * (k1 + 1.0) / (tf + norms[d])) for d, tf in zip(doc_ids, tfs)])
-        )
+        parts = dict(zip(doc_ids, [weight * (idf * tf * (k1 + 1.0) / (tf + norms[d])) for d, tf in zip(doc_ids, tfs)]))
         for d in parts.keys() & scores.keys():
             if d in shared:
                 shared[d].append(parts[d])
@@ -271,17 +258,40 @@ def _score_groups(index: Index, params: Bm25Params, groups, norms: list[float]) 
         scores.update(zip(shared, map(math.fsum, shared.values())))
     except (OverflowError, ValueError) as exc:
         raise DataError(f"scores do not sum to a finite number ({exc})") from None
+    return scores
+
+
+def _top(scores: dict, k: int, docnos) -> list[tuple]:
+    """The top *k* ``(docnos[id], score)`` pairs of *scores*, in ranking order.
+
+    The ids are sorted once by score; the cut keeps the first *k* and every
+    id tied with the last of them, and only those are put in ranking order,
+    by :func:`~flowrank.frames.ordered`.  A score that is not finite (only a
+    weight or a ``k1`` near ``1e308`` makes one) raises :class:`DataError`."""
     by_score = sorted(scores, key=scores.__getitem__, reverse=True)
-    # impacts are finite, so only a weight can make a part infinite
+    # only a weight, or a k1 near 1e308, can make a part infinite
     if by_score and (scores[by_score[-1]] == -math.inf or scores[by_score[0]] == math.inf):
         raise DataError("a weighted part of a score is not finite")
-    k = params.num_results
     if len(by_score) > k:
         # every score at or above the k-th largest, so that ties at the cut all survive
         by_score = by_score[: bisect_right(by_score, -scores[by_score[k - 1]], k, key=lambda d: -scores[d])]
     # fsum([x]) is x, except that -0.0 becomes 0.0: so does 0.0 + x
     values = map(0.0.__add__, map(scores.__getitem__, by_score))
-    return ordered(zip(map(index.docnos().__getitem__, by_score), values), 1, 0)[:k]
+    return ordered(zip(map(docnos.__getitem__, by_score), values), 1, 0)[:k]
+
+
+def _score_groups(index: Index, params: Bm25Params, groups, norms: list[float]) -> list[tuple[str, float]]:
+    """The top ``num_results`` (docno, score) pairs of the index for *groups*,
+    by :func:`_bm25` over its postings and :func:`_top`; *norms* is the
+    index's :func:`_length_norms`."""
+    plists = []  # (weight, doc_ids, tfs) per term or window
+    for kind, weight, tokens in groups:
+        if kind == "w":
+            plists.extend((weight, *index.columns(term)[:2]) for term in tokens)
+        else:
+            t1, t2 = tokens
+            plists.append((weight, *adjacent_counts(index.columns(t1), index.columns(t2))))
+    return _top(_bm25(index.n_docs, params.k1, norms, plists), params.num_results, index.docnos())
 
 
 _RETRIEVER_OUT = ("qid", "query", "docno", "score", "rank")
@@ -301,14 +311,11 @@ def _retriever(name: str, description: str, index: Index, params: Bm25Params, we
         for row in rel.rows:
             queries.setdefault(row[q], row[t])
         rows = []
-        for qid in sorted(queries):  # the ranking rule's qid order
-            query = queries[qid]
-            if weighted and is_weighted_query(query):
-                groups = parse_weighted_query(query)
-            else:
-                groups = [("w", 1.0, tokenize(query))]
+        for qid, query in sorted(queries.items()):  # the ranking rule's qid order
+            plain = not (weighted and is_weighted_query(query))
+            groups = [("w", 1.0, tokenize(query))] if plain else parse_weighted_query(query)
             if norms is None:
-                norms = _length_norms(index, params)
+                norms = _length_norms(index.doc_lens(), index.avg_doc_len, params)
             # (qid, query) + (docno, score) + (rank,), ranked by position
             top = map(add, repeat((qid, query)), _score_groups(index, params, groups, norms))
             rows += map(add, top, zip(count()))
@@ -381,8 +388,9 @@ def lexical_rescorer(params: Bm25Params = Bm25Params(), index: Index | None = No
 
     Statistics (document frequencies, average length, collection size) come
     from the candidate set of each qid alone: the transformer sees exactly
-    what a neural re-ranker would see.  Each qid keeps its ``num_results``
-    best-ranked candidates.
+    what a neural re-ranker would see.  Scores and the cut to each qid's
+    ``num_results`` best candidates are the retrievers' (:func:`_bm25`,
+    :func:`_top`), with the candidate set as the collection.
 
     With an *index*, a candidate whose ``text`` is the very string object
     that index stored for its docno (``is``, not ``==``: text the index's
@@ -396,18 +404,18 @@ def lexical_rescorer(params: Bm25Params = Bm25Params(), index: Index | None = No
         _require_values(rel, "rescore", "query", "text")
         columns = list(rel.columns)
         columns += [extra for extra in ("score", "rank") if extra not in columns]
-        q, t, d, x, s = (columns.index(c) for c in ("qid", "query", "docno", "text", "score"))
-        k1, b = params.k1, params.b
+        q, t, d, x, s, r = map(columns.index, ("qid", "query", "docno", "text", "score", "rank"))
+        if None in map(itemgetter(d), rel.rows):  # every candidate is ranked, also below the cut
+            raise DataError("a row with a null qid or docno cannot be ranked")
         groups: dict[str, list[tuple]] = {}
         for row in rel.rows:
             groups.setdefault(row[q], []).append(row)
         rows = []
-        for cands in groups.values():
-            query_tokens: dict[str, list[str]] = {}
-            for query in map(itemgetter(t), cands):
-                if query not in query_tokens:
-                    query_tokens[query] = tokenize(query)
-            terms = list(set(chain.from_iterable(query_tokens.values())))
+        for qid in sorted(groups):  # the ranking rule's qid order
+            cands = groups[qid]
+            queries = list(map(itemgetter(t), cands))
+            tokens = {query: tokenize(query) for query in dict.fromkeys(queries)}
+            terms = list(set(chain.from_iterable(tokens.values())))
             n = len(cands)
             texts = list(map(itemgetter(x), cands))
             ids = [None] * n if index is None else index.stored_ids(map(itemgetter(d), cands), texts)
@@ -425,28 +433,19 @@ def lexical_rescorer(params: Bm25Params = Bm25Params(), index: Index | None = No
                 lens[j] = len(toks)
                 for tfs, tf in zip(tf_columns, map(toks.count, terms)):
                     tfs[j] = tf
-            avgdl = sum(lens) / n
-            # no term occurs in any candidate when avgdl is 0: no norm is read
-            norms = [k1 * (1.0 - b + b * dl / avgdl) for dl in lens] if avgdl else lens
-            # each distinct query term's part of every candidate's score,
-            # 0.0 where it does not occur: all parts are positive, so the
-            # zeros leave every fsum bit for bit as without them
-            parts: dict[str, list[float]] = {}
-            for term, tfs in zip(terms, tf_columns):
-                df = n - tfs.count(0)
-                idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-                parts[term] = [idf * tf * (k1 + 1.0) / (tf + norm) if tf else 0.0 for tf, norm in zip(tfs, norms)]
-            zeros = (0.0,) * n  # the score of a query without tokens
-            scores = {
-                query: list(map(math.fsum, zip(zeros, *map(parts.__getitem__, toks))))
-                for query, toks in query_tokens.items()
-            }
-            # the score of each candidate under its own query
-            own = map(getitem, map(scores.__getitem__, map(itemgetter(t), cands)), range(n))
-            rows += put_column(cands, s, own)
-        columns, rows = rank_tuples(columns, rows)
-        kept = map(params.num_results.__gt__, map(itemgetter(columns.index("rank")), rows))
-        return Relation._trusted(columns, compress(rows, kept))
+            norms = _length_norms(lens, sum(lens) / n, params)
+            # each term's postings over the candidate set: the positions and tfs where tf > 0
+            plists = dict(
+                zip(terms, [(1.0, list(compress(range(n), tfs)), list(filter(None, tfs))) for tfs in tf_columns])
+            )
+            sums = {query: _bm25(n, params.k1, norms, map(plists.__getitem__, toks)) for query, toks in tokens.items()}
+            # each candidate's score under its own query, 0.0 where none of its terms occurs
+            own = dict(enumerate(map(dict.get, map(sums.__getitem__, queries), range(n), repeat(0.0))))
+            # a docno paired with its position: candidates that repeat it stay in input order
+            top = _top(own, params.num_results, list(zip(map(itemgetter(d), cands), count())))
+            scored = put_column([cands[j] for (_, j), _ in top], s, map(itemgetter(1), top))
+            rows += put_column(scored, r, count())  # ranked by position
+        return Relation._trusted(columns, rows)
 
     return Transformer(
         name="rescore",

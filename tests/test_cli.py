@@ -179,6 +179,11 @@ class TestValidateCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_deep_nesting_is_domain_error(self, workspace, capsys):
+        code = main(["validate", "--index", "ix", "--pipeline", "(" * 2000 + "bm25" + ")" * 2000])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: 1:101: more than 100 nested")
+
 
 class TestInspectCommand:
     def test_prints_io_and_subtransformers(self, workspace, capsys):

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from flowrank.algebra import Leaf, RRF, Then
-from flowrank.dsl import ELinear, ERef, ERRF, EThen, elaborate, parse, render
+from flowrank.algebra import Leaf, RRF, Then, execute
+from flowrank.dsl import _MAX_NESTING, ELinear, ERef, ERRF, EThen, elaborate, parse, render
 from flowrank.errors import BadArgument, InvalidK, ParseError, UnknownTransformer
+from flowrank.inspect import validate
 
 from conftest import random_expr
 
@@ -57,6 +58,35 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse("a >> b & c")
         assert err.value.col == 8
+
+
+def nested(form: str, depth: int) -> str:
+    """*depth* groups around ``bm25`` on one line, or *depth* rrf calls, one a line."""
+    if form == "groups":
+        return "(" * depth + "bm25" + ")" * depth
+    return "rrf(bm25,\n" * depth + "bm25" + ")" * depth
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("form", ["groups", "rrf"])
+    def test_deepest_allowed_expression_runs(self, form, toy_registry, qframe):
+        node = elaborate(parse(nested(form, _MAX_NESTING)), toy_registry)
+        assert validate(node, set(qframe.columns)).ok
+        out = execute(node, qframe)
+        assert set(out.column("qid")) == {"q1", "q2"}
+
+    @pytest.mark.parametrize("form, line, col", [("groups", 1, _MAX_NESTING + 1), ("rrf", _MAX_NESTING + 1, 1)])
+    def test_one_level_more_names_the_opening_token(self, form, line, col):
+        with pytest.raises(ParseError, match=f"more than {_MAX_NESTING} nested") as err:
+            parse(nested(form, _MAX_NESTING + 1))
+        assert (err.value.line, err.value.col) == (line, col)
+
+    def test_depth_counts_groups_and_rrf_calls_together(self):
+        half = _MAX_NESTING // 2
+        parse("(rrf(bm25, " * half + "bm25" + "))" * half)
+        with pytest.raises(ParseError) as err:
+            parse("(rrf(bm25, " * half + "(bm25)" + "))" * half)
+        assert err.value.col == 11 * half + 1
 
 
 class TestElaborate:

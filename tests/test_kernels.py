@@ -127,7 +127,7 @@ def test_score_groups_matches_per_posting_oracle(corpus, groups, k1, b, num_resu
     with tempfile.TemporaryDirectory() as tmp:
         build_index(corpus, Path(tmp) / "ix")
         index = load_index(Path(tmp) / "ix")
-        got = _score_groups(index, params, groups, _length_norms(index, params))
+        got = _score_groups(index, params, groups, _length_norms(index.doc_lens(), index.avg_doc_len, params))
         assert bits(got) == bits(oracle_score_groups(index, params, groups))
 
 
@@ -137,7 +137,7 @@ def test_ties_at_the_cut_break_by_docno(tmp_path):
     index = load_index(tmp_path / "ix")
     groups = [("w", 1.0, ["a", "b"])]
     params = Bm25Params(num_results=2)
-    got = _score_groups(index, params, groups, _length_norms(index, params))
+    got = _score_groups(index, params, groups, _length_norms(index.doc_lens(), index.avg_doc_len, params))
     assert [docno for docno, _ in got] == ["d1", "d2"]
     assert bits(got) == bits(oracle_score_groups(index, params, groups))
 
@@ -145,7 +145,8 @@ def test_ties_at_the_cut_break_by_docno(tmp_path):
 def test_negative_zero_weight_scores_positive_zero(tmp_path):
     build_index([("d1", "a"), ("d2", "a b")], tmp_path / "ix")
     index = load_index(tmp_path / "ix")
-    got = _score_groups(index, Bm25Params(), [("w", -0.0, ["a"])], _length_norms(index, Bm25Params()))
+    norms = _length_norms(index.doc_lens(), index.avg_doc_len, Bm25Params())
+    got = _score_groups(index, Bm25Params(), [("w", -0.0, ["a"])], norms)
     assert bits(got) == [("d1", "0x0.0p+0"), ("d2", "0x0.0p+0")]
 
 
@@ -153,14 +154,15 @@ def test_index_without_tokens_matches_nothing(tmp_path):
     build_index([("d1", "!"), ("d2", "")], tmp_path / "ix")
     index = load_index(tmp_path / "ix")
     assert index.avg_doc_len == 0.0
-    assert _score_groups(index, Bm25Params(), [("w", 1.0, ["a"])], _length_norms(index, Bm25Params())) == []
+    norms = _length_norms(index.doc_lens(), index.avg_doc_len, Bm25Params())
+    assert _score_groups(index, Bm25Params(), [("w", 1.0, ["a"])], norms) == []
 
 
 def test_length_norms_are_indexed_by_doc_id_and_shared_per_length(tmp_path):
     build_index([("d1", "a b"), ("d2", "a c c"), ("d3", "c"), ("d4", "b c")], tmp_path / "ix")
     index = load_index(tmp_path / "ix")
     params = Bm25Params(k1=1.5, b=0.5)
-    norms = _length_norms(index, params)
+    norms = _length_norms(index.doc_lens(), index.avg_doc_len, params)
     avgdl = index.avg_doc_len
     assert norms == [params.k1 * (1.0 - params.b + params.b * dl / avgdl) for dl in index.doc_lens()]
     assert norms[0] is norms[3]  # d1 and d4 both hold two tokens

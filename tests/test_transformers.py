@@ -337,6 +337,23 @@ class TestLexicalRescorer:
         assert len(out) == 3
         assert out.rows == tuple(row for row in full.rows if row[full.columns.index("rank")] < 2)
 
+    def test_null_docno_below_the_cut_is_still_ranked(self):
+        rows = [
+            {"qid": "q1", "query": "fox", "docno": "d1", "text": "fox fox"},
+            {"qid": "q1", "query": "fox", "docno": "d2", "text": "fox"},
+            {"qid": "q1", "query": "fox", "docno": None, "text": "dog"},
+        ]
+        with pytest.raises(DataError, match="a row with a null qid or docno cannot be ranked"):
+            lexical_rescorer(Bm25Params(num_results=2)).transform(self.candidates(rows))
+
+    def test_repeated_candidate_below_the_cut_is_dropped_in_input_order(self):
+        rows = [
+            {"qid": "q1", "query": "fox", "docno": "d1", "text": "fox", "tag": "first"},
+            {"qid": "q1", "query": "fox", "docno": "d1", "text": "fox", "tag": "second"},
+        ]
+        cands = rel(rows, ["qid", "query", "docno", "text", "tag"])
+        assert lexical_rescorer(Bm25Params(num_results=1)).transform(cands).column("tag") == ("first",)
+
 
 def hex_scores(out):
     return [(qid, docno, float.hex(score)) for qid, docno, score in zip(*map(out.column, ("qid", "docno", "score")))]
@@ -519,6 +536,33 @@ class TestNonFiniteScores:
         node = then(Leaf(bm25_retriever(toy_index)), Leaf(stage))
         with pytest.raises(DataError, match="score nan for qid 'q1' cannot be ranked") as err:
             execute(node, qframe(("q1", "quick fox")))
+        assert err.value.path == (1,)
+
+
+def liar(columns):
+    """Declares ``{qid, query} -> {qid, query, docno, score}`` but returns *columns*."""
+    cells = {"qid": "q1", "query": "quick fox", "docno": "d1", "score": 1.0, "tag": "t"}
+    out = Relation(columns, [tuple(map(cells.__getitem__, columns))])
+    declared = spec({"qid", "query"}, {"qid", "query", "docno", "score"})
+    return Transformer("liar", "declares a score column it may not produce", (), declared, lambda rel_in: out)
+
+
+class TestDeclaredOutputs:
+    """A stage whose output columns are not the ones its spec declares for
+    its input is a DataError naming both sets, at the stage's path."""
+
+    @pytest.mark.parametrize(
+        "columns", [("qid", "query", "docno"), ("qid", "query", "docno", "score", "tag")], ids=["missing", "extra"]
+    )
+    @pytest.mark.parametrize("where", ["rrf", "chain"])
+    def test_mismatch_fails_at_its_leaf(self, toy_index, columns, where):
+        children = Leaf(bm25_retriever(toy_index) if where == "rrf" else sdm_rewriter()), Leaf(liar(columns))
+        node = rr_fusion(children) if where == "rrf" else then(*children)
+        with pytest.raises(DataError) as err:
+            execute(node, qframe(("q1", "quick fox")))
+        assert str(err.value) == (
+            f"liar produced {sorted(columns)} but declares ['docno', 'qid', 'query', 'score'] (at pipeline node [1])"
+        )
         assert err.value.path == (1,)
 
 

@@ -17,7 +17,7 @@ from operator import itemgetter, mul
 from typing import Iterable
 
 from .errors import DataError, FlowrankError, InvalidK, ValidationError, WeightLengthMismatch
-from .frames import RANKING, Relation, _unique_pairs, canonical_columns, dense_ranks, ordered, rank_tuples
+from .frames import RANKING, Relation, _unique_pairs, canonical_columns, rank_tuples
 from .transformers import Transformer
 
 DEFAULT_RRF_K = 60.0
@@ -147,22 +147,21 @@ def fused_columns(child_columns: Iterable[Iterable[str]]) -> tuple[str, ...]:
 def _contribution(node: Linear | RRF, i: int, out: Relation, path: tuple[int, ...]) -> dict[tuple[str, str], float]:
     """Child *i*'s part of the fused score per ``(qid, docno)`` of its output *out*.
 
-    The child is put in the engine's ranking order, whatever order or
-    ranks it came with, unless it is marked ranked (see
-    :meth:`Relation._trusted`) and so in that order already; it is ranked
-    by position.  Its part is ``weight *
-    score`` under :class:`Linear` and ``1 / (k + rank + 1)`` under
-    :class:`RRF`.  The child must hold each ``(qid, docno)`` at most once;
-    an error carries the child's path, *path* of the fusion node plus *i*.
+    The child is ranked by :func:`~flowrank.frames.rank_tuples`, whatever
+    order or ranks it came with, unless it is marked ranked (see
+    :meth:`Relation._trusted`).  Its part is ``weight * score`` under
+    :class:`Linear` and ``1 / (k + rank + 1)`` under :class:`RRF`.  The
+    child must hold each ``(qid, docno)`` at most once; an error carries the
+    child's path, *path* of the fusion node plus *i*.
     """
     try:
-        q, s, d = map(out.columns.index, ("qid", "score", "docno"))
-        rows = out.rows if out._ranked else ordered(out.rows, s, d, q)
+        columns, rows = (out.columns, out.rows) if out._ranked else rank_tuples(out.columns, out.rows)
+        q, s, d, r = map(columns.index, ("qid", "score", "docno", "rank"))
         keys = zip(map(itemgetter(q), rows), map(itemgetter(d), rows))
         if isinstance(node, Linear):
             values = map(mul, repeat(node.weights[i]), map(itemgetter(s), rows))
         else:
-            values = [1.0 / (node.k + rank + 1) for rank in dense_ranks(rows, q)]
+            values = [1.0 / (node.k + rank + 1) for rank in map(itemgetter(r), rows)]
         part = dict(zip(keys, values))
         if len(part) != len(rows):
             _unique_pairs(out.rows, q, d)

@@ -9,11 +9,11 @@ non-increasing score), so any relation the framework hands out is valid.
 Public construction also checks the type of every cell.  The engine's own
 stages build their outputs from cells of already-checked relations plus
 values they compute, through :meth:`Relation._trusted`, which skips that
-per-cell type pass and the rank check: the engine orders every ranking it
-produces once, through :func:`ordered`, and writes its ranks from that
-order.  A stage that also builds its keys unique and non-null, as the
-retrievers and the fusion operators do, skips the frame check as well, and
-its output is marked ranked.
+per-cell type pass and the rank check: every ranking is ordered once, by
+:func:`ordered`, and ranked from that order (rows that exist by
+:func:`rank_tuples`).  A stage that also builds its keys unique and
+non-null, as the retrievers and fusion do, skips the frame check as well,
+and its output is marked ranked.
 """
 
 from __future__ import annotations
@@ -163,7 +163,10 @@ class Relation:
         object.__setattr__(self, "columns", names)
         normalized = []
         for r, row in enumerate(self.rows):
-            row = tuple(row)
+            try:
+                row = tuple(row)
+            except TypeError:
+                raise DataError(f"row {r} is not a sequence of values, got {type(row).__name__}") from None
             if len(row) != len(names):
                 raise DataError(f"row {r} has {len(row)} values but there are {len(names)} columns")
             normalized.append(tuple(map(_check_value, names, row)))
@@ -179,12 +182,12 @@ class Relation:
         Cells copied from checked relations keep their column's type, and
         the engine computes only well-typed values, so the per-cell type pass
         is skipped.  Ranks are not checked either: every engine stage either
-        writes them from the order of :func:`ordered` (the retrievers and
-        ``rescore`` by position, every other stage through
-        :func:`rank_tuples`), keeping a prefix of each qid's ranks at most, or
-        copies them unchanged from a checked relation.  A stage may still
-        change the frame kind and so gain required columns and a primary key:
-        :meth:`_check_frame` checks them as public construction does.
+        writes them from the order of :func:`ordered` (the retrievers by
+        position, every other stage through :func:`rank_tuples`), keeping a
+        prefix of each qid's ranks at most, or copies them unchanged from a
+        checked relation.  A stage may still change the frame kind and so
+        gain required columns and a primary key: :meth:`_check_frame` checks
+        them as public construction does.
 
         With *ranked* the caller vouches for that too: its rows are an R
         frame in :func:`ordered` order, ranked by position within each qid,
@@ -225,10 +228,11 @@ class Relation:
         for qid, score, rank in zip(self.column("qid"), scores, self.column("rank")):
             groups.setdefault(qid, []).append((rank, score))
         for qid, pairs in groups.items():
-            pairs.sort()
-            if list(map(operator.itemgetter(0), pairs)) != list(range(len(pairs))):
+            # compared as sets, not sorted, so that a null rank fails here too
+            by_rank = dict(pairs)
+            if by_rank.keys() != set(range(len(pairs))):
                 raise DataError(f"ranks for qid {qid!r} are not exactly 0..{len(pairs) - 1}")
-            scores = list(map(operator.itemgetter(1), pairs))
+            scores = list(map(by_rank.__getitem__, range(len(pairs))))
             if any(map(operator.lt, scores, scores[1:])):
                 raise DataError(f"scores for qid {qid!r} increase with rank")
 
@@ -294,7 +298,7 @@ def _unique_pairs(rows: Sequence[tuple], qid: int, docno: int):
 
 
 def _check_scores(qids: Iterable, scores: Sequence) -> None:
-    if None in scores or any(map(math.isnan, scores)):
+    if None in scores or (math.isnan(sum(scores)) and any(map(math.isnan, scores))):  # a NaN makes the sum NaN
         qid, score = next((q, s) for q, s in zip(qids, scores) if s is None or s != s)
         raise DataError(f"score {score} for qid {qid!r} cannot be ranked")
 
@@ -325,13 +329,6 @@ def ordered(rows: Iterable[tuple], score: int, docno: int, qid: int | None = Non
     return rows
 
 
-def dense_ranks(rows: Iterable[tuple], qid: int) -> Iterator[int]:
-    """0, 1, 2, ... within each qid of *rows*, which are in :func:`ordered` order."""
-    # counting ordered rows meets their qids in ascending order
-    per_qid = collections.Counter(map(operator.itemgetter(qid), rows)).values()
-    return itertools.chain.from_iterable(map(range, per_qid))
-
-
 def put_column(rows: Iterable[tuple], i: int, values: Iterable) -> list[tuple]:
     """Each row with its cell *i* set to the next of *values*: appended to
     rows of exactly *i* cells, else replaced in place."""
@@ -345,13 +342,16 @@ def put_column(rows: Iterable[tuple], i: int, values: Iterable) -> list[tuple]:
 
 
 def rank_tuples(columns: Sequence[str], rows: Iterable[tuple]) -> tuple[list[str], list[tuple]]:
-    """Rank row tuples over *columns*, writing ``rank`` in place or appending it."""
+    """Rank row tuples over *columns*, writing ``rank`` in place or appending it:
+    the engine's one ranking of rows that already exist."""
     columns = list(columns)
     if "rank" not in columns:
         columns.append("rank")
     q, s, d, r = (columns.index(c) for c in ("qid", "score", "docno", "rank"))
     rows = ordered(rows, s, d, q)
-    return columns, put_column(rows, r, dense_ranks(rows, q))
+    # counting ordered rows meets their qids in ascending order
+    per_qid = collections.Counter(map(operator.itemgetter(q), rows)).values()
+    return columns, put_column(rows, r, itertools.chain.from_iterable(map(range, per_qid)))
 
 
 def _need(rel: Relation, needed: AbstractSet[str], who: str) -> None:

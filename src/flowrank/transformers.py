@@ -19,7 +19,7 @@ from operator import add, is_, itemgetter
 from typing import Callable
 
 from .errors import DataError, EmptyQuery, MalformedWeightedQuery, MissingColumn
-from .frames import Relation, join_on_docno, ordered, put_column
+from .frames import Relation, _check_scores, join_on_docno, ordered, put_column, rank_tuples
 from .index import Index, adjacent_counts, tokenize
 
 
@@ -261,8 +261,8 @@ def _bm25(n_docs: int, k1: float, norms: list[float], plists) -> dict[int, float
     return scores
 
 
-def _top(scores: dict, k: int, docnos) -> list[tuple]:
-    """The top *k* ``(docnos[id], score)`` pairs of *scores*, in ranking order.
+def _top(scores: dict, k: int, docnos, qid: str) -> list[tuple]:
+    """The top *k* ``(docnos[id], score)`` pairs of query *qid*'s *scores*, in ranking order.
 
     The ids are sorted once by score; the cut keeps the first *k* and every
     id tied with the last of them, and only those are put in ranking order,
@@ -276,14 +276,15 @@ def _top(scores: dict, k: int, docnos) -> list[tuple]:
         # every score at or above the k-th largest, so that ties at the cut all survive
         by_score = by_score[: bisect_right(by_score, -scores[by_score[k - 1]], k, key=lambda d: -scores[d])]
     # fsum([x]) is x, except that -0.0 becomes 0.0: so does 0.0 + x
-    values = map(0.0.__add__, map(scores.__getitem__, by_score))
+    values = list(map(0.0.__add__, map(scores.__getitem__, by_score)))
+    _check_scores(repeat(qid), values)  # the pairs ordered below hold no qid to name
     return ordered(zip(map(docnos.__getitem__, by_score), values), 1, 0)[:k]
 
 
-def _score_groups(index: Index, params: Bm25Params, groups, norms: list[float]) -> list[tuple[str, float]]:
-    """The top ``num_results`` (docno, score) pairs of the index for *groups*,
-    by :func:`_bm25` over its postings and :func:`_top`; *norms* is the
-    index's :func:`_length_norms`."""
+def _score_groups(index: Index, params: Bm25Params, groups, norms: list[float], qid: str) -> list[tuple[str, float]]:
+    """The top ``num_results`` (docno, score) pairs of the index for query
+    *qid*'s *groups*, by :func:`_bm25` over its postings and :func:`_top`;
+    *norms* is the index's :func:`_length_norms`."""
     plists = []  # (weight, doc_ids, tfs) per term or window
     for kind, weight, tokens in groups:
         if kind == "w":
@@ -291,7 +292,7 @@ def _score_groups(index: Index, params: Bm25Params, groups, norms: list[float]) 
         else:
             t1, t2 = tokens
             plists.append((weight, *adjacent_counts(index.columns(t1), index.columns(t2))))
-    return _top(_bm25(index.n_docs, params.k1, norms, plists), params.num_results, index.docnos())
+    return _top(_bm25(index.n_docs, params.k1, norms, plists), params.num_results, index.docnos(), qid)
 
 
 _RETRIEVER_OUT = ("qid", "query", "docno", "score", "rank")
@@ -317,7 +318,7 @@ def _retriever(name: str, description: str, index: Index, params: Bm25Params, we
             if norms is None:
                 norms = _length_norms(index.doc_lens(), index.avg_doc_len, params)
             # (qid, query) + (docno, score) + (rank,), ranked by position
-            top = map(add, repeat((qid, query)), _score_groups(index, params, groups, norms))
+            top = map(add, repeat((qid, query)), _score_groups(index, params, groups, norms, qid))
             rows += map(add, top, zip(count()))
         # keys: distinct qids, each with the docnos of one dict of doc ids
         return Relation._trusted(_RETRIEVER_OUT, rows, ranked=True)
@@ -388,9 +389,9 @@ def lexical_rescorer(params: Bm25Params = Bm25Params(), index: Index | None = No
 
     Statistics (document frequencies, average length, collection size) come
     from the candidate set of each qid alone: the transformer sees exactly
-    what a neural re-ranker would see.  Scores and the cut to each qid's
-    ``num_results`` best candidates are the retrievers' (:func:`_bm25`,
-    :func:`_top`), with the candidate set as the collection.
+    what a neural re-ranker would see.  Scores are the retrievers' (:func:`_bm25`,
+    with the candidate set as the collection); :func:`~flowrank.frames.rank_tuples`
+    ranks every candidate, and each qid keeps its ``num_results`` best.
 
     With an *index*, a candidate whose ``text`` is the very string object
     that index stored for its docno (``is``, not ``==``: text the index's
@@ -403,16 +404,14 @@ def lexical_rescorer(params: Bm25Params = Bm25Params(), index: Index | None = No
     def fn(rel: Relation) -> Relation:
         _require_values(rel, "rescore", "query", "text")
         columns = list(rel.columns)
-        columns += [extra for extra in ("score", "rank") if extra not in columns]
-        q, t, d, x, s, r = map(columns.index, ("qid", "query", "docno", "text", "score", "rank"))
-        if None in map(itemgetter(d), rel.rows):  # every candidate is ranked, also below the cut
-            raise DataError("a row with a null qid or docno cannot be ranked")
+        if "score" not in columns:
+            columns.append("score")
+        q, t, d, x, s = map(columns.index, ("qid", "query", "docno", "text", "score"))
         groups: dict[str, list[tuple]] = {}
         for row in rel.rows:
             groups.setdefault(row[q], []).append(row)
-        rows = []
-        for qid in sorted(groups):  # the ranking rule's qid order
-            cands = groups[qid]
+        scores = []  # each candidate's, in the order of the groups
+        for cands in groups.values():
             queries = list(map(itemgetter(t), cands))
             tokens = {query: tokenize(query) for query in dict.fromkeys(queries)}
             terms = list(set(chain.from_iterable(tokens.values())))
@@ -440,12 +439,13 @@ def lexical_rescorer(params: Bm25Params = Bm25Params(), index: Index | None = No
             )
             sums = {query: _bm25(n, params.k1, norms, map(plists.__getitem__, toks)) for query, toks in tokens.items()}
             # each candidate's score under its own query, 0.0 where none of its terms occurs
-            own = dict(enumerate(map(dict.get, map(sums.__getitem__, queries), range(n), repeat(0.0))))
-            # a docno paired with its position: candidates that repeat it stay in input order
-            top = _top(own, params.num_results, list(zip(map(itemgetter(d), cands), count())))
-            scored = put_column([cands[j] for (_, j), _ in top], s, map(itemgetter(1), top))
-            rows += put_column(scored, r, count())  # ranked by position
-        return Relation._trusted(columns, rows)
+            scores += map(dict.get, map(sums.__getitem__, queries), range(n), repeat(0.0))
+        if math.inf in scores:  # only a k1 near 1e308 makes one
+            raise DataError("a weighted part of a score is not finite")
+        # every candidate is ranked, also below the cut, and in a stable sort
+        columns, rows = rank_tuples(columns, put_column(chain.from_iterable(groups.values()), s, scores))
+        r, k = columns.index("rank"), params.num_results
+        return Relation._trusted(columns, [row for row in rows if row[r] < k])
 
     return Transformer(
         name="rescore",

@@ -12,7 +12,7 @@ import pytest
 
 from flowrank.algebra import Leaf, Linear, RRF, Then
 from flowrank.errors import DataError
-from flowrank.frames import Relation, canonical_columns, dense_ranks, ordered, rank_tuples, sort_and_rank
+from flowrank.frames import Relation, canonical_columns, rank_tuples, sort_and_rank
 from flowrank.index import build_index, load_index, tokenize
 from flowrank.transformers import Transformer, TransformerSpec, registry, spec
 
@@ -308,12 +308,9 @@ def recheck(rel: Relation) -> None:
         rel._check_frame()
         if {"qid", "score", "rank"} <= set(rel.columns):
             rel._check_ranks()
-        if rel._ranked:
-            q, s, d = map(rel.columns.index, ("qid", "score", "docno"))
-            if list(rel.rows) != ordered(rel.rows, s, d, q):
-                raise DataError("rows are not in ranking order")
-            if rel.column("rank") != tuple(dense_ranks(rel.rows, q)):
-                raise DataError("ranks are not by position")
+        # one comparison covers both the row order and the ranks by position
+        if rel._ranked and list(rel.rows) != rank_tuples(rel.columns, rel.rows)[1]:
+            raise DataError("rows are not in ranking order, ranked by position")
     except DataError as exc:
         raise AssertionError(f"a skipped check fires on {'a ranked' if rel._ranked else 'an'} engine output: {exc}")
 

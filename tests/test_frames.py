@@ -54,6 +54,10 @@ class TestRelationInvariants:
         with pytest.raises(DataError):
             Relation(("qid", "query"), (("q1",),))
 
+    def test_row_that_is_not_a_sequence_rejected(self):
+        with pytest.raises(DataError, match="row 1 is not a sequence of values, got int"):
+            Relation(("qid",), [("q0",), 5])
+
     @pytest.mark.parametrize("columns", [("qid", "qid"), ("qid", "")])
     def test_column_names_unique_and_non_empty(self, columns):
         with pytest.raises(DataError):
@@ -133,6 +137,15 @@ class TestRelationInvariants:
         rows = [{"qid": "q1", "query": "x", "score": None, "rank": 0}]
         with pytest.raises(DataError, match="score None for qid 'q1' cannot be ranked"):
             rel(rows, ["qid", "query", "score", "rank"])
+
+    @pytest.mark.parametrize("columns", [("qid", "score", "rank"), ("qid", "query", "score", "rank")])
+    def test_null_rank_rejected_naming_its_qid(self, columns):
+        cells = [
+            {"qid": "q1", "query": "x", "score": 1.0, "rank": None},
+            {"qid": "q1", "query": "x", "score": 2.0, "rank": 0},
+        ]
+        with pytest.raises(DataError, match="ranks for qid 'q1' are not exactly 0..1"):
+            Relation(columns, [tuple(map(row.__getitem__, columns)) for row in cells])
 
     def test_null_required_column_rejected(self):
         with pytest.raises(DataError):

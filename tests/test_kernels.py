@@ -127,7 +127,7 @@ def test_score_groups_matches_per_posting_oracle(corpus, groups, k1, b, num_resu
     with tempfile.TemporaryDirectory() as tmp:
         build_index(corpus, Path(tmp) / "ix")
         index = load_index(Path(tmp) / "ix")
-        got = _score_groups(index, params, groups, _length_norms(index.doc_lens(), index.avg_doc_len, params))
+        got = _score_groups(index, params, groups, _length_norms(index.doc_lens(), index.avg_doc_len, params), "q1")
         assert bits(got) == bits(oracle_score_groups(index, params, groups))
 
 
@@ -137,7 +137,7 @@ def test_ties_at_the_cut_break_by_docno(tmp_path):
     index = load_index(tmp_path / "ix")
     groups = [("w", 1.0, ["a", "b"])]
     params = Bm25Params(num_results=2)
-    got = _score_groups(index, params, groups, _length_norms(index.doc_lens(), index.avg_doc_len, params))
+    got = _score_groups(index, params, groups, _length_norms(index.doc_lens(), index.avg_doc_len, params), "q1")
     assert [docno for docno, _ in got] == ["d1", "d2"]
     assert bits(got) == bits(oracle_score_groups(index, params, groups))
 
@@ -146,7 +146,7 @@ def test_negative_zero_weight_scores_positive_zero(tmp_path):
     build_index([("d1", "a"), ("d2", "a b")], tmp_path / "ix")
     index = load_index(tmp_path / "ix")
     norms = _length_norms(index.doc_lens(), index.avg_doc_len, Bm25Params())
-    got = _score_groups(index, Bm25Params(), [("w", -0.0, ["a"])], norms)
+    got = _score_groups(index, Bm25Params(), [("w", -0.0, ["a"])], norms, "q1")
     assert bits(got) == [("d1", "0x0.0p+0"), ("d2", "0x0.0p+0")]
 
 
@@ -155,7 +155,7 @@ def test_index_without_tokens_matches_nothing(tmp_path):
     index = load_index(tmp_path / "ix")
     assert index.avg_doc_len == 0.0
     norms = _length_norms(index.doc_lens(), index.avg_doc_len, Bm25Params())
-    assert _score_groups(index, Bm25Params(), [("w", 1.0, ["a"])], norms) == []
+    assert _score_groups(index, Bm25Params(), [("w", 1.0, ["a"])], norms, "q1") == []
 
 
 def test_length_norms_are_indexed_by_doc_id_and_shared_per_length(tmp_path):

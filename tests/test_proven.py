@@ -73,14 +73,16 @@ def test_retriever_and_fusion_outputs_are_marked(toy_registry, qframe):
 
 
 def test_fusion_orders_only_children_not_marked_ranked(toy_registry, qframe, monkeypatch):
-    calls, real = [], algebra.ordered
-    monkeypatch.setattr(algebra, "ordered", lambda rows, *args: calls.append(args) or real(rows, *args))
+    # each call's columns; the fused output is ranked through the same helper, last
+    calls, real = [], algebra.rank_tuples
+    monkeypatch.setattr(algebra, "rank_tuples", lambda cols, rows: calls.append(tuple(cols)) or real(cols, rows))
     execute(elaborate(parse("rrf(bm25, sdm >> wbm25)"), toy_registry), qframe)
-    assert calls == []
+    assert calls == [("qid", "query", "docno", "score", "rank")]
+    calls.clear()
     # a custom child (columns qid, docno, score) is put in order, whatever order it came in
     run = [{"qid": "q1", "docno": "d1", "score": 1.0}, {"qid": "q1", "docno": "d2", "score": 2.0}]
     node = rr_fusion([Leaf(stub_run("a", run)), elaborate(parse("bm25"), toy_registry)])
     fused = execute(node, qframe)
-    assert calls == [(2, 1, 0)]
+    assert calls == [("qid", "docno", "score"), ("qid", "docno", "score", "rank")]
     flipped = rr_fusion([Leaf(stub_run("a", run[::-1])), elaborate(parse("bm25"), toy_registry)])
     assert execute(flipped, qframe) == fused

@@ -525,6 +525,25 @@ class TestNonFiniteScores:
             execute(node, qframe(("q1", f"#w({weight}) alpha")))
         assert err.value.path == (1,)
 
+    @pytest.mark.parametrize("stage", ["bm25", "wbm25", "rescore"])
+    def test_overflowing_k1_names_the_qid_of_its_nan_at_its_leaf(self, tmp_path, stage):
+        # fox's part of d1's score is inf / inf: its numerator and d1's length norm both overflow
+        docs = [("d1", "fox fox fox fox fox a b c d"), ("d2", "a"), ("d3", "b"), ("d4", "c"), ("d5", "d")]
+        build_index(docs, tmp_path / "ix")
+        index = load_index(tmp_path / "ix")
+        params = Bm25Params(k1=1.7e308, b=1.0)
+        make = {
+            "bm25": bm25_retriever,
+            "wbm25": weighted_bm25_retriever,
+            "rescore": lambda ix, p: lexical_rescorer(p, ix),
+        }
+        node = rr_fusion([Leaf(bm25_retriever(index)), Leaf(make[stage](index, params))])
+        columns = ["qid", "query", "docno", "text"]
+        candidates = rel([{"qid": "q1", "query": "fox", "docno": d, "text": t} for d, t in docs], columns)
+        with pytest.raises(DataError, match="score nan for qid 'q1' cannot be ranked") as err:
+            execute(node, candidates)
+        assert err.value.path == (1,)
+
     def test_custom_stage_returning_nan_fails_at_its_path(self, toy_index):
         def nan_scores(rel_in):
             return rel(
@@ -537,6 +556,17 @@ class TestNonFiniteScores:
         with pytest.raises(DataError, match="score nan for qid 'q1' cannot be ranked") as err:
             execute(node, qframe(("q1", "quick fox")))
         assert err.value.path == (1,)
+
+
+def test_custom_stage_building_a_row_that_is_not_a_sequence_fails_at_its_path():
+    def build(rel_in):
+        return Relation(("qid",), [5])
+
+    stage = Transformer("bad", "builds a row of one int", (), spec({"qid"}, {"qid"}), build)
+    node = then(Leaf(sdm_rewriter()), Leaf(stage))
+    with pytest.raises(DataError, match="row 0 is not a sequence of values, got int") as err:
+        execute(node, qframe(("q1", "quick fox")))
+    assert err.value.path == (1,)
 
 
 def liar(columns):

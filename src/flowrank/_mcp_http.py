@@ -18,6 +18,9 @@ class Handler(BaseHTTPRequestHandler):
     # TCP_NODELAY: the body's last partial segment is not held back behind
     # the unacknowledged header segment
     disable_nagle_algorithm = True
+    # seconds a read or write on the connection may block: a client that
+    # stalls mid-request would otherwise hold its server thread forever
+    timeout = 30
 
     def log_message(self, fmt, *args):  # keep test output clean
         pass
@@ -47,6 +50,12 @@ class Handler(BaseHTTPRequestHandler):
             )
             return
         body = self.rfile.read(length)
+        if len(body) < length:
+            # the client closed its side early: what came is not the request it declared
+            self._send_json(
+                _rpc_error(None, INVALID_REQUEST, "Invalid Request: body shorter than its Content-Length")
+            )
+            return
         response = self.server.dispatcher.dispatch_bytes(body)
         if response is None:
             self.send_response(202)

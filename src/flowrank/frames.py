@@ -9,11 +9,10 @@ non-increasing score), so any relation the framework hands out is valid.
 Public construction also checks the type of every cell.  The engine's own
 stages build their outputs from cells of already-checked relations plus
 values they compute, through :meth:`Relation._trusted`, which skips that
-per-cell type pass and the rank check: every ranking is ordered once, by
-:func:`ordered`, and ranked from that order (rows that exist by
-:func:`rank_tuples`).  A stage that also builds its keys unique and
-non-null, as the retrievers and fusion do, skips the frame check as well,
-and its output is marked ranked.
+per-cell type pass and the rank check: every ranking is ordered and
+ranked once, by :func:`rank_tuples`.  A stage that also builds its keys
+unique and non-null, as the retrievers and fusion do, skips the frame check
+as well, and its output is marked ranked.
 """
 
 from __future__ import annotations
@@ -182,16 +181,15 @@ class Relation:
         Cells copied from checked relations keep their column's type, and
         the engine computes only well-typed values, so the per-cell type pass
         is skipped.  Ranks are not checked either: every engine stage either
-        writes them from the order of :func:`ordered` (the retrievers by
-        position, every other stage through :func:`rank_tuples`), keeping a
-        prefix of each qid's ranks at most, or copies them unchanged from a
-        checked relation.  A stage may still change the frame kind and so
+        writes them through :func:`rank_tuples`, keeping a prefix of each
+        qid's ranks at most, or copies them unchanged from a checked
+        relation.  A stage may still change the frame kind and so
         gain required columns and a primary key: :meth:`_check_frame` checks
         them as public construction does.
 
         With *ranked* the caller vouches for that too: its rows are an R
-        frame in :func:`ordered` order, ranked by position within each qid,
-        whose ``(qid, docno)`` keys it built unique and non-null (as dict
+        frame as :func:`rank_tuples` ordered and ranked them, whose
+        ``(qid, docno)`` keys it built unique and non-null (as dict
         keys, from non-null values).  The frame check is then skipped, and
         the relation is marked ranked, so fusion takes its rows in the order
         they come.
@@ -303,32 +301,6 @@ def _check_scores(qids: Iterable, scores: Sequence) -> None:
         raise DataError(f"score {score} for qid {qid!r} cannot be ranked")
 
 
-def ordered(rows: Iterable[tuple], score: int, docno: int, qid: int | None = None) -> list[tuple]:
-    """*rows* by the engine's one ranking rule: (qid asc, score desc, docno asc).
-
-    Every ranking the engine produces is ordered here, once.  *qid*,
-    *score* and *docno* are positions in each row tuple; without *qid* the
-    rows are one ranking.  Two stable sorts keyed in C give the order of
-    one sort by ``(qid, -score, docno)``: the row positions by a list of
-    ``(-score, docno)`` keys, then the rows by qid.  A null qid or docno,
-    or a null or NaN score, raises :class:`DataError` before anything is
-    sorted.
-    """
-    rows = list(rows)
-    if None in map(operator.itemgetter(docno), rows) or (
-        qid is not None and None in map(operator.itemgetter(qid), rows)
-    ):
-        raise DataError("a row with a null qid or docno cannot be ranked")
-    qids = itertools.repeat(None) if qid is None else map(operator.itemgetter(qid), rows)
-    scores = list(map(operator.itemgetter(score), rows))
-    _check_scores(qids, scores)
-    keys = list(zip(map(operator.neg, scores), map(operator.itemgetter(docno), rows)))
-    rows = list(map(rows.__getitem__, sorted(range(len(rows)), key=keys.__getitem__)))
-    if qid is not None:
-        rows.sort(key=operator.itemgetter(qid))
-    return rows
-
-
 def put_column(rows: Iterable[tuple], i: int, values: Iterable) -> list[tuple]:
     """Each row with its cell *i* set to the next of *values*: appended to
     rows of exactly *i* cells, else replaced in place."""
@@ -342,13 +314,28 @@ def put_column(rows: Iterable[tuple], i: int, values: Iterable) -> list[tuple]:
 
 
 def rank_tuples(columns: Sequence[str], rows: Iterable[tuple]) -> tuple[list[str], list[tuple]]:
-    """Rank row tuples over *columns*, writing ``rank`` in place or appending it:
-    the engine's one ranking of rows that already exist."""
+    """Rank row tuples over *columns* by the engine's one ranking rule,
+    (qid asc, score desc, docno asc), writing ``rank`` in place or appending it.
+
+    Every ranking the engine produces is ordered and ranked here, once.  Two
+    stable sorts keyed in C give the order of one sort by ``(qid, -score,
+    docno)``: the row positions by a list of ``(-score, docno)`` keys, then
+    the rows by qid.  Ranks are then written 0-based and dense per qid.  A
+    null qid or docno, or a null or NaN score, raises :class:`DataError`
+    before anything is sorted.
+    """
     columns = list(columns)
     if "rank" not in columns:
         columns.append("rank")
     q, s, d, r = (columns.index(c) for c in ("qid", "score", "docno", "rank"))
-    rows = ordered(rows, s, d, q)
+    rows = list(rows)
+    if None in map(operator.itemgetter(d), rows) or None in map(operator.itemgetter(q), rows):
+        raise DataError("a row with a null qid or docno cannot be ranked")
+    scores = list(map(operator.itemgetter(s), rows))
+    _check_scores(map(operator.itemgetter(q), rows), scores)
+    keys = list(zip(map(operator.neg, scores), map(operator.itemgetter(d), rows)))
+    rows = list(map(rows.__getitem__, sorted(range(len(rows)), key=keys.__getitem__)))
+    rows.sort(key=operator.itemgetter(q))
     # counting ordered rows meets their qids in ascending order
     per_qid = collections.Counter(map(operator.itemgetter(q), rows)).values()
     return columns, put_column(rows, r, itertools.chain.from_iterable(map(range, per_qid)))

@@ -1,12 +1,14 @@
 """Serve pipelines as remotely callable tools over JSON-RPC 2.0 on HTTP.
 
 The server speaks a minimal Model Context Protocol subset on ``POST /mcp``:
-``initialize``, ``tools/list``, and ``tools/call``.  Tool metadata (the
-input JSON Schema and advertised output columns) is derived from static
-inspection, so a listed tool is guaranteed executable from a query batch.
-Per-request failures are JSON-RPC responses, never dropped connections;
-pipeline execution errors come back as ``isError: true`` tool results.  A
-body longer than ``MAX_BODY_BYTES`` is refused unread.  A request whose
+``initialize``, ``ping`` (answered with an empty result), ``tools/list``,
+and ``tools/call``.  Tool metadata (the input JSON Schema and advertised
+output columns) is derived from static inspection, so a listed tool is
+guaranteed executable from a query batch.  Per-request failures are
+JSON-RPC responses, never dropped connections; pipeline execution errors
+come back as ``isError: true`` tool results.  A body longer than
+``MAX_BODY_BYTES`` is refused unread, and one shorter than its
+``Content-Length`` is refused without running.  A request whose
 ``id`` is not a string, a finite number or null is invalid and is answered
 with ``id: null``.  A notification (a request without an ``id``, such as
 ``notifications/initialized``) gets HTTP 202, an empty body and no
@@ -256,6 +258,8 @@ class _Dispatcher:
                         "serverInfo": {"name": SERVER_NAME, "version": SERVER_VERSION},
                     },
                 )
+            if method == "ping":
+                return _rpc_result(id_, {})
             if method == "tools/list":
                 return _rpc_result(
                     id_, {"tools": [desc.to_wire() for _, desc in self.tools.values()]}

@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, repeat
 from operator import add, is_, itemgetter
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import DataError, EmptyQuery, MalformedWeightedQuery, MissingColumn
-from .frames import Relation, _check_scores, join_on_docno, ordered, put_column, rank_tuples
+from .frames import Relation, join_on_docno, put_column, rank_tuples
 from .index import Index, adjacent_counts, tokenize
 
 
@@ -261,30 +261,16 @@ def _bm25(n_docs: int, k1: float, norms: list[float], plists) -> dict[int, float
     return scores
 
 
-def _top(scores: dict, k: int, docnos, qid: str) -> list[tuple]:
-    """The top *k* ``(docnos[id], score)`` pairs of query *qid*'s *scores*, in ranking order.
+def _score_groups(index: Index, params: Bm25Params, groups, norms: list[float]) -> Iterable[tuple[str, float]]:
+    """The ``(docno, score)`` pairs of the index's best ``num_results``
+    documents for *groups*, by :func:`_bm25` over its postings (*norms* is
+    the index's :func:`_length_norms`), and of every document tied with the
+    last of them: best first, in no order among equal scores.
 
-    The ids are sorted once by score; the cut keeps the first *k* and every
-    id tied with the last of them, and only those are put in ranking order,
-    by :func:`~flowrank.frames.ordered`.  A score that is not finite (only a
-    weight or a ``k1`` near ``1e308`` makes one) raises :class:`DataError`."""
-    by_score = sorted(scores, key=scores.__getitem__, reverse=True)
-    # only a weight, or a k1 near 1e308, can make a part infinite
-    if by_score and (scores[by_score[-1]] == -math.inf or scores[by_score[0]] == math.inf):
-        raise DataError("a weighted part of a score is not finite")
-    if len(by_score) > k:
-        # every score at or above the k-th largest, so that ties at the cut all survive
-        by_score = by_score[: bisect_right(by_score, -scores[by_score[k - 1]], k, key=lambda d: -scores[d])]
-    # fsum([x]) is x, except that -0.0 becomes 0.0: so does 0.0 + x
-    values = list(map(0.0.__add__, map(scores.__getitem__, by_score)))
-    _check_scores(repeat(qid), values)  # the pairs ordered below hold no qid to name
-    return ordered(zip(map(docnos.__getitem__, by_score), values), 1, 0)[:k]
-
-
-def _score_groups(index: Index, params: Bm25Params, groups, norms: list[float], qid: str) -> list[tuple[str, float]]:
-    """The top ``num_results`` (docno, score) pairs of the index for query
-    *qid*'s *groups*, by :func:`_bm25` over its postings and :func:`_top`;
-    *norms* is the index's :func:`_length_norms`."""
+    The matched ids are sorted once by score and cut; only
+    :func:`~flowrank.frames.rank_tuples` puts the cut in ranking order.  A
+    score that is not finite (only a weight or a ``k1`` near ``1e308``
+    makes one) raises :class:`DataError`."""
     plists = []  # (weight, doc_ids, tfs) per term or window
     for kind, weight, tokens in groups:
         if kind == "w":
@@ -292,7 +278,17 @@ def _score_groups(index: Index, params: Bm25Params, groups, norms: list[float], 
         else:
             t1, t2 = tokens
             plists.append((weight, *adjacent_counts(index.columns(t1), index.columns(t2))))
-    return _top(_bm25(index.n_docs, params.k1, norms, plists), params.num_results, index.docnos(), qid)
+    scores = _bm25(index.n_docs, params.k1, norms, plists)
+    by_score = sorted(scores, key=scores.__getitem__, reverse=True)
+    # only a weight, or a k1 near 1e308, can make a part infinite
+    if by_score and (scores[by_score[-1]] == -math.inf or scores[by_score[0]] == math.inf):
+        raise DataError("a weighted part of a score is not finite")
+    k = params.num_results
+    if len(by_score) > k:
+        # every score at or above the k-th largest, so that ties at the cut all survive
+        by_score = by_score[: bisect_right(by_score, -scores[by_score[k - 1]], k, key=lambda d: -scores[d])]
+    # fsum([x]) is x, except that -0.0 becomes 0.0: so does 0.0 + x
+    return zip(map(index.docnos().__getitem__, by_score), map(0.0.__add__, map(scores.__getitem__, by_score)))
 
 
 _RETRIEVER_OUT = ("qid", "query", "docno", "score", "rank")
@@ -317,9 +313,10 @@ def _retriever(name: str, description: str, index: Index, params: Bm25Params, we
             groups = [("w", 1.0, tokenize(query))] if plain else parse_weighted_query(query)
             if norms is None:
                 norms = _length_norms(index.doc_lens(), index.avg_doc_len, params)
-            # (qid, query) + (docno, score) + (rank,), ranked by position
-            top = map(add, repeat((qid, query)), _score_groups(index, params, groups, norms, qid))
-            rows += map(add, top, zip(count()))
+            cut = map(add, repeat((qid, query)), _score_groups(index, params, groups, norms))
+            # ranked one qid at a time: ranking every qid's cut in one call
+            # holds all their rows twice at once, and their sort keys too
+            rows += rank_tuples(_RETRIEVER_OUT[:-1], cut)[1][: params.num_results]
         # keys: distinct qids, each with the docnos of one dict of doc ids
         return Relation._trusted(_RETRIEVER_OUT, rows, ranked=True)
 

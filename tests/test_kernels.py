@@ -20,7 +20,7 @@ from flowrank.dsl import elaborate, parse
 from flowrank.frames import Relation, rank_tuples, sort_and_rank
 from flowrank.index import _TOKEN, build_index, count_adjacent, load_index, tokenize
 from flowrank import transformers
-from flowrank.transformers import Bm25Params, _length_norms, _score_groups, lexical_rescorer, registry
+from flowrank.transformers import Bm25Params, _length_norms, lexical_rescorer, registry, weighted_bm25_retriever
 
 
 def oracle_tokenize(text):
@@ -66,8 +66,18 @@ def test_tokenize_matches_regex_on_mixed_text(text):
 
 
 # ---------------------------------------------------------------------------
-# BM25 top-k (_score_groups)
+# BM25 top-k (wbm25: _score_groups' cut, ranked by rank_tuples)
 # ---------------------------------------------------------------------------
+
+
+def retrieve(index, params, groups):
+    """The (docno, score) pairs wbm25 returns for query q1 of *groups*.
+
+    Each weight is written with ``repr``, which ``float`` reads back exactly.
+    """
+    query = " ".join(f"#{kind}({weight!r}) {' '.join(tokens)}" for kind, weight, tokens in groups)
+    out = weighted_bm25_retriever(index, params).transform(Relation(("qid", "query"), [("q1", query)]))
+    return [row[2:4] for row in out.rows]
 
 
 def oracle_score_groups(index, params, groups):
@@ -127,7 +137,7 @@ def test_score_groups_matches_per_posting_oracle(corpus, groups, k1, b, num_resu
     with tempfile.TemporaryDirectory() as tmp:
         build_index(corpus, Path(tmp) / "ix")
         index = load_index(Path(tmp) / "ix")
-        got = _score_groups(index, params, groups, _length_norms(index.doc_lens(), index.avg_doc_len, params), "q1")
+        got = retrieve(index, params, groups)
         assert bits(got) == bits(oracle_score_groups(index, params, groups))
 
 
@@ -137,7 +147,7 @@ def test_ties_at_the_cut_break_by_docno(tmp_path):
     index = load_index(tmp_path / "ix")
     groups = [("w", 1.0, ["a", "b"])]
     params = Bm25Params(num_results=2)
-    got = _score_groups(index, params, groups, _length_norms(index.doc_lens(), index.avg_doc_len, params), "q1")
+    got = retrieve(index, params, groups)
     assert [docno for docno, _ in got] == ["d1", "d2"]
     assert bits(got) == bits(oracle_score_groups(index, params, groups))
 
@@ -145,8 +155,7 @@ def test_ties_at_the_cut_break_by_docno(tmp_path):
 def test_negative_zero_weight_scores_positive_zero(tmp_path):
     build_index([("d1", "a"), ("d2", "a b")], tmp_path / "ix")
     index = load_index(tmp_path / "ix")
-    norms = _length_norms(index.doc_lens(), index.avg_doc_len, Bm25Params())
-    got = _score_groups(index, Bm25Params(), [("w", -0.0, ["a"])], norms, "q1")
+    got = retrieve(index, Bm25Params(), [("w", -0.0, ["a"])])
     assert bits(got) == [("d1", "0x0.0p+0"), ("d2", "0x0.0p+0")]
 
 
@@ -154,8 +163,7 @@ def test_index_without_tokens_matches_nothing(tmp_path):
     build_index([("d1", "!"), ("d2", "")], tmp_path / "ix")
     index = load_index(tmp_path / "ix")
     assert index.avg_doc_len == 0.0
-    norms = _length_norms(index.doc_lens(), index.avg_doc_len, Bm25Params())
-    assert _score_groups(index, Bm25Params(), [("w", 1.0, ["a"])], norms, "q1") == []
+    assert retrieve(index, Bm25Params(), [("w", 1.0, ["a"])]) == []
 
 
 def test_length_norms_are_indexed_by_doc_id_and_shared_per_length(tmp_path):
@@ -341,7 +349,7 @@ def test_index_bound_rescore_matches_unbound_on_figure1_candidates(word_index, t
 
 
 # ---------------------------------------------------------------------------
-# the ranking rule (frames.ordered under rank_tuples and the retrievers)
+# the ranking rule (frames.rank_tuples, for the retrievers as for every stage)
 # ---------------------------------------------------------------------------
 
 RANK_SCORES = [0.0, -0.0, 1.0, 1.0, 2.5, -2.5, math.inf, -math.inf, 1e-320]
@@ -394,3 +402,27 @@ def test_retrievers_rank_qids_arriving_out_of_order(word_index):
         out = registry(word_index)[name]().transform(query_rel)
         assert [qid for qid in dict.fromkeys(out.column("qid"))] == ["q1", "q10", "q2"]
         assert repr(out.rows) == repr(sort_and_rank(out).rows)
+
+
+@pytest.mark.parametrize("name", ["bm25", "wbm25"])
+@pytest.mark.parametrize("num_results", [1, 2, 3])
+def test_retriever_batch_ranks_each_qid_as_it_would_alone(tmp_path, name, num_results):
+    """Qids out of order, each with a tie at its cut: the batch gives each
+    qid the rows it gets alone, ranked 0-based and dense."""
+    # documents of one text tie; "a" ranks d1 and d7 first, then d2, d5 and d9
+    corpus = [("d5", "a b"), ("d2", "a b"), ("d9", "a b"), ("d1", "a"), ("d7", "a")]
+    corpus += [("d3", "b c"), ("d8", "b c"), ("d4", "c"), ("d6", "c")]
+    build_index(corpus, tmp_path / "ix")
+    stage = registry(load_index(tmp_path / "ix"))[name](num_results=num_results)
+    queries = [("q3", "a"), ("q10", "c"), ("q1", "b c"), ("q2", "a b")]
+    if name == "wbm25":
+        queries.append(("q0", "#w(0.5) a #ow(2.0) a b"))
+    out = stage.transform(Relation(("qid", "query"), queries))
+    assert list(dict.fromkeys(out.column("qid"))) == sorted(qid for qid, _ in queries)
+    for qid, query in queries:
+        alone = stage.transform(Relation(("qid", "query"), [(qid, query)]))
+        assert repr([row for row in out.rows if row[0] == qid]) == repr(list(alone.rows))
+        assert list(alone.column("rank")) == list(range(num_results))
+    alone = stage.transform(Relation(("qid", "query"), [("q3", "a")]))
+    assert list(alone.column("docno")) == ["d1", "d7", "d2"][:num_results]
+    Relation(out.columns, out.rows)  # public construction checks the ranks as well

@@ -3,6 +3,8 @@ import math
 import socket
 import subprocess
 import sys
+import threading
+import time
 import urllib.request
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 import flowrank
 from flowrank.algebra import Leaf, execute, then
 from flowrank.dsl import elaborate, parse
+from flowrank._mcp_http import Handler
 from flowrank.errors import BindError, DataError, NotServable
 from flowrank.frames import KNOWN_COLUMN_TYPES, Relation, canonical_columns
 from flowrank.mcp import (
@@ -247,20 +250,58 @@ class TestProtocol:
                 assert "not finite" in reply["result"]["content"][0]["text"]
 
     def test_notification_gets_202_and_no_response(self, server):
-        body = json.dumps({"jsonrpc": "2.0", "method": "notifications/initialized"}).encode()
+        for method in ("notifications/initialized", "ping"):
+            body = json.dumps({"jsonrpc": "2.0", "method": method}).encode()
+            with socket.create_connection((server.host, server.port), timeout=10) as sock:
+                sock.sendall(
+                    f"POST /mcp HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}\r\n\r\n".encode() + body
+                )
+                reply = b""
+                while chunk := sock.recv(4096):
+                    reply += chunk
+            head, _, rest = reply.partition(b"\r\n\r\n")
+            assert head.split(b" ")[1] == b"202"
+            assert rest == b""
+        # an invalid request and one with an id still get their replies
+        assert rpc(server.url, {"method": "notifications/initialized"})["error"]["code"] == -32600
+        assert rpc(server.url, {"jsonrpc": "2.0", "id": None, "method": "initialize"})["id"] is None
+
+    def test_ping_gets_an_empty_result_echoing_its_id(self, server):
+        for id_ in (3, "p"):
+            assert rpc(server.url, {"jsonrpc": "2.0", "id": id_, "method": "ping"}) == {
+                "jsonrpc": "2.0",
+                "id": id_,
+                "result": {},
+            }
+
+    def test_body_shorter_than_its_length_is_invalid_and_not_run(self, server, monkeypatch):
+        monkeypatch.setattr(Handler, "timeout", 2)
+        # a whole request, which would be answered if it were dispatched
+        body = json.dumps({"jsonrpc": "2.0", "id": 4, "method": "initialize"}).encode()
         with socket.create_connection((server.host, server.port), timeout=10) as sock:
-            sock.sendall(
-                f"POST /mcp HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}\r\n\r\n".encode() + body
-            )
+            sock.sendall(f"POST /mcp HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body) + 50}\r\n\r\n".encode() + body)
+            sock.shutdown(socket.SHUT_WR)
             reply = b""
             while chunk := sock.recv(4096):
                 reply += chunk
         head, _, rest = reply.partition(b"\r\n\r\n")
-        assert head.split(b" ")[1] == b"202"
-        assert rest == b""
-        # an invalid request and one with an id still get their replies
-        assert rpc(server.url, {"method": "notifications/initialized"})["error"]["code"] == -32600
-        assert rpc(server.url, {"jsonrpc": "2.0", "id": None, "method": "initialize"})["id"] is None
+        assert head.split(b" ")[1] == b"200"
+        resp = json.loads(rest, parse_constant=_no_constant)
+        assert resp["error"] == {"code": -32600, "message": "Invalid Request: body shorter than its Content-Length"}
+        assert resp["id"] is None
+
+    def test_stalled_body_is_dropped_and_frees_its_thread(self, server, monkeypatch):
+        assert Handler.timeout is not None and 0 < Handler.timeout < math.inf
+        monkeypatch.setattr(Handler, "timeout", 0.3)  # the same path, sooner
+        threads = threading.active_count()
+        with socket.create_connection((server.host, server.port), timeout=10) as sock:
+            sock.sendall(b"POST /mcp HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n" + b'{"jsonrpc"')
+            # the socket stays open for writing: only the server's timeout ends the wait
+            assert sock.recv(4096) == b""
+        deadline = time.monotonic() + 5
+        while threading.active_count() > threads and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() <= threads
 
     @pytest.mark.parametrize(
         "raw_id", [b"1e400", b"-1e400", b"NaN", b"Infinity", b"-Infinity", b'{"a": [1]}', b"[1]", b"true", b"false"]

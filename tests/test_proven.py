@@ -1,7 +1,7 @@
 """Outputs the engine has proven ranked skip the checks and the re-sort.
 
 The retrievers and the fusion operators build their ``(qid, docno)`` keys
-from dicts and rank through ``frames.ordered``; ``Relation._trusted(...,
+from dicts and rank through ``frames.rank_tuples``; ``Relation._trusted(...,
 ranked=True)`` records that, skips the frame check, and lets fusion take
 the rows in the order they come.  ``conftest.recheck`` runs every skipped
 check again; criterion 3 and the fuzzers run under it, and these tests show
@@ -50,13 +50,18 @@ def test_a_wrongly_marked_relation_fails_the_recheck(rows):
 @pytest.mark.parametrize(
     "mutate",
     [
-        lambda top: top[::-1],  # unranked
-        lambda top: top[:1] + top,  # a docno twice
+        lambda rows: rows[::-1],  # unranked
+        lambda rows: rows[:1] + rows,  # a docno twice
     ],
 )
 def test_a_retriever_marking_a_bad_ranking_fails_the_recheck(toy_registry, qframe, monkeypatch, mutate):
-    score_groups = transformers._score_groups
-    monkeypatch.setattr(transformers, "_score_groups", lambda *args: mutate(score_groups(*args)))
+    real = transformers.rank_tuples
+
+    def rank_tuples(columns, rows):
+        columns, rows = real(columns, rows)
+        return columns, mutate(rows)
+
+    monkeypatch.setattr(transformers, "rank_tuples", rank_tuples)
     node = elaborate(parse("bm25"), toy_registry)
     with rechecked_proofs(), pytest.raises(AssertionError):
         execute(node, qframe)

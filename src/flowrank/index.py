@@ -390,6 +390,12 @@ class Index:
         self._doc_lens: tuple[int, ...] = ()
         self._postings: dict[str, _Stored] | None = None
         self._load_lock = threading.Lock()
+        # the retrievers' BM25 tables by (k1, b), and how many more impacts
+        # they may store in all (None until counted): transformers._table
+        # creates a table and spends the room under _bm25_lock
+        self._bm25_tables: dict = {}
+        self._bm25_room: int | None = None
+        self._bm25_lock = threading.Lock()
 
     @property
     def data_loaded(self) -> bool:

@@ -65,6 +65,10 @@ _QUERIES_SCHEMA = {
     "required": ["queries"],
 }
 
+# MCP 2025-03-26 tool hints: a pipeline reads its index and nothing else,
+# and the same queries give the same reply
+_TOOL_ANNOTATIONS = {"readOnlyHint": True, "idempotentHint": True, "openWorldHint": False}
+
 
 @dataclass(frozen=True)
 class ToolDescriptor:
@@ -80,6 +84,7 @@ class ToolDescriptor:
             "description": self.description,
             "inputSchema": _QUERIES_SCHEMA,
             "outputColumns": list(self.output_columns),
+            "annotations": _TOOL_ANNOTATIONS,
         }
 
 

@@ -12,10 +12,11 @@ re-rankers and reader models.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
-from operator import add, is_, itemgetter
+from operator import add, is_, itemgetter, mul
 from typing import Callable, Iterable
 
 from .errors import DataError, EmptyQuery, MalformedWeightedQuery, MissingColumn
@@ -216,9 +217,12 @@ def parse_weighted_query(query: str) -> list[tuple[str, float, list[str]]]:
 # BM25 scoring engine of the plain and weighted retrievers, whose collection
 # is the index, and of the re-scorer, whose collection is one qid's
 # candidate set.  A term's or window's part of a document's score is
-#   weight * (idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)))
-#   with idf = log(1 + (n_docs - df + 0.5) / (df + 0.5)),
-# each written once below, so every stage's scores agree bit for bit.
+#   weight * impact, with
+#   impact = idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl))
+#   and idf = log(1 + (n_docs - df + 0.5) / (df + 0.5)),
+# each written once below, so every stage's scores agree bit for bit.  The
+# impact depends only on the term, the document and the collection, so the
+# retrievers store it per index (_table) and the weight multiplies it after.
 # --------------------------------------------------------------------------
 
 
@@ -235,19 +239,27 @@ def _length_norms(doc_lens: list[int], avgdl: float, params: Bm25Params) -> list
     return list(map(by_length.__getitem__, doc_lens))
 
 
-def _bm25(n_docs: int, k1: float, norms: list[float], plists) -> dict[int, float]:
+def _impacts(n_docs: int, k1: float, norms: list[float], doc_ids, tfs) -> list[float]:
+    """The impact of each posting of one term or window, its part of the
+    document's score at weight 1, in *doc_ids* order; *n_docs* is the size
+    of the collection and *norms* its :func:`_length_norms` by document id."""
+    df = len(doc_ids)
+    idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+    return [idf * tf * (k1 + 1.0) / (tf + norms[d]) for d, tf in zip(doc_ids, tfs)]
+
+
+def _bm25(plists) -> dict[int, float]:
     """Each matched document's score by its id, term at a time over *plists*,
-    one ``(weight, doc_ids, tfs)`` per term or window, with its length norm
-    read from *norms* (:func:`_length_norms`).  A document matched once keeps
-    its part as a bare float; only those matched more than once get a list of
-    parts, summed by ``fsum``."""
+    one ``(weight, doc_ids, impacts)`` per term or window (:func:`_impacts`).
+    A part is ``weight * impact``.  A document matched once keeps its part as
+    a bare float; only those matched more than once get a list of parts,
+    summed by ``fsum``."""
     # a document's one part, or the last of its parts while shared holds them all
     scores: dict[int, float] = {}
     shared: dict[int, list[float]] = {}  # documents matched more than once
-    for weight, doc_ids, tfs in plists:
-        df = len(doc_ids)
-        idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-        parts = dict(zip(doc_ids, [weight * (idf * tf * (k1 + 1.0) / (tf + norms[d])) for d, tf in zip(doc_ids, tfs)]))
+    for weight, doc_ids, impacts in plists:
+        # 1.0 * x is x bit for bit, -0.0 and NaN included
+        parts = dict(zip(doc_ids, impacts if weight == 1.0 else map(mul, repeat(weight), impacts)))
         for d in parts.keys() & scores.keys():
             if d in shared:
                 shared[d].append(parts[d])
@@ -261,24 +273,75 @@ def _bm25(n_docs: int, k1: float, norms: list[float], plists) -> dict[int, float
     return scores
 
 
-def _score_groups(index: Index, params: Bm25Params, groups, norms: list[float]) -> Iterable[tuple[str, float]]:
+# The retrievers' table per (index, k1, b): the index's length norms, and the
+# impacts of terms already scored, by term, each an array("d") in doc_ids
+# order.  All tables of an index together store at most one impact per four
+# of its postings (8 bytes per impact: 2 bytes per posting); a term that no
+# longer fits is scored per call, as windows and rescore's terms always are.
+_Table = tuple[list[float], dict[str, array]]
+
+
+def _table(index: Index, params: Bm25Params) -> _Table:
+    """The index's table under ``(params.k1, params.b)``, created at its
+    first use; every retriever over the index with those parameters shares it."""
+    key = (params.k1, params.b)
+    table = index._bm25_tables.get(key)
+    if table is None:
+        with index._bm25_lock:
+            table = index._bm25_tables.get(key)
+            if table is None:
+                if index._bm25_room is None:  # a quarter of the postings, counted once
+                    index._bm25_room = sum(map(index.df, index.terms())) // 4
+                table = (_length_norms(index.doc_lens(), index.avg_doc_len, params), {})
+                index._bm25_tables[key] = table
+    return table
+
+
+def _term_impacts(index: Index, k1: float, table: _Table, term: str):
+    """*term*'s doc ids and impacts: stored in *table*, or computed, and then
+    stored if the index's room still holds them."""
+    norms, stored = table
+    doc_ids, tfs, _ = index.columns(term)
+    impacts = stored.get(term)
+    if impacts is None:
+        impacts = _impacts(index.n_docs, k1, norms, doc_ids, tfs)
+        if 0 < len(doc_ids) <= index._bm25_room:
+            row = array("d", impacts)
+            # server threads share the table: the room is spent under the
+            # lock, and a term is published by one assignment, so two threads
+            # that score a new term at once only repeat the work
+            with index._bm25_lock:
+                if term not in stored and len(row) <= index._bm25_room:
+                    index._bm25_room -= len(row)
+                    stored[term] = row
+    return doc_ids, impacts
+
+
+def _plists(index: Index, k1: float, table: _Table, groups):
+    """``(weight, doc_ids, impacts)`` per term or window of *groups*, each
+    made as :func:`_bm25` reaches it, so one term's impacts at a time are
+    held unless *table* stores them."""
+    for kind, weight, tokens in groups:
+        if kind == "w":
+            for term in tokens:
+                yield (weight, *_term_impacts(index, k1, table, term))
+        else:
+            t1, t2 = tokens
+            doc_ids, counts = adjacent_counts(index.columns(t1), index.columns(t2))
+            yield weight, doc_ids, _impacts(index.n_docs, k1, table[0], doc_ids, counts)
+
+
+def _score_groups(index: Index, params: Bm25Params, groups) -> Iterable[tuple[str, float]]:
     """The ``(docno, score)`` pairs of the index's best ``num_results``
-    documents for *groups*, by :func:`_bm25` over its postings (*norms* is
-    the index's :func:`_length_norms`), and of every document tied with the
-    last of them: best first, in no order among equal scores.
+    documents for *groups*, by :func:`_bm25` over its postings, and of every
+    document tied with the last of them: best first, in no order among equal
+    scores.  Unigrams read their impacts from the index's :func:`_table`.
 
     The matched ids are sorted once by score and cut; only
     :func:`~flowrank.frames.rank_tuples` puts the cut in ranking order.  A
     score that is not finite (only a weight or a ``k1`` near ``1e308``
     makes one) raises :class:`DataError`."""
-    plists = []  # (weight, doc_ids, tfs) per term or window
-    for kind, weight, tokens in groups:
-        if kind == "w":
-            plists.extend((weight, *index.columns(term)[:2]) for term in tokens)
-        else:
-            t1, t2 = tokens
-            plists.append((weight, *adjacent_counts(index.columns(t1), index.columns(t2))))
-    scores = _bm25(index.n_docs, params.k1, norms, plists)
+    scores = _bm25(_plists(index, params.k1, _table(index, params), groups))
     by_score = sorted(scores, key=scores.__getitem__, reverse=True)
     # only a weight, or a k1 near 1e308, can make a part infinite
     if by_score and (scores[by_score[-1]] == -math.inf or scores[by_score[0]] == math.inf):
@@ -296,10 +359,8 @@ _RETRIEVER_OUT = ("qid", "query", "docno", "score", "rank")
 
 def _retriever(name: str, description: str, index: Index, params: Bm25Params, weighted: bool) -> Transformer:
     """A BM25 retriever over *index*; a *weighted* one also parses #w/#ow queries."""
-    norms = None  # built at the first call, when the index is loaded
 
     def fn(rel: Relation) -> Relation:
-        nonlocal norms
         _require_values(rel, name, "query")
         # retrievers re-derive state: one retrieval per distinct qid, taking
         # the first query seen for it, regardless of how many rows carry it
@@ -311,9 +372,7 @@ def _retriever(name: str, description: str, index: Index, params: Bm25Params, we
         for qid, query in sorted(queries.items()):  # the ranking rule's qid order
             plain = not (weighted and is_weighted_query(query))
             groups = [("w", 1.0, tokenize(query))] if plain else parse_weighted_query(query)
-            if norms is None:
-                norms = _length_norms(index.doc_lens(), index.avg_doc_len, params)
-            cut = map(add, repeat((qid, query)), _score_groups(index, params, groups, norms))
+            cut = map(add, repeat((qid, query)), _score_groups(index, params, groups))
             # ranked one qid at a time: ranking every qid's cut in one call
             # holds all their rows twice at once, and their sort keys too
             rows += rank_tuples(_RETRIEVER_OUT[:-1], cut)[1][: params.num_results]
@@ -430,11 +489,12 @@ def lexical_rescorer(params: Bm25Params = Bm25Params(), index: Index | None = No
                 for tfs, tf in zip(tf_columns, map(toks.count, terms)):
                     tfs[j] = tf
             norms = _length_norms(lens, sum(lens) / n, params)
-            # each term's postings over the candidate set: the positions and tfs where tf > 0
-            plists = dict(
-                zip(terms, [(1.0, list(compress(range(n), tfs)), list(filter(None, tfs))) for tfs in tf_columns])
-            )
-            sums = {query: _bm25(n, params.k1, norms, map(plists.__getitem__, toks)) for query, toks in tokens.items()}
+            # each term's postings over the candidate set: the positions where tf > 0, and their impacts
+            plists = {}
+            for term, tfs in zip(terms, tf_columns):
+                where = list(compress(range(n), tfs))
+                plists[term] = (1.0, where, _impacts(n, params.k1, norms, where, filter(None, tfs)))
+            sums = {query: _bm25(map(plists.__getitem__, toks)) for query, toks in tokens.items()}
             # each candidate's score under its own query, 0.0 where none of its terms occurs
             scores += map(dict.get, map(sums.__getitem__, queries), range(n), repeat(0.0))
         if math.inf in scores:  # only a k1 near 1e308 makes one

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import flowrank
 
 from flowrank.algebra import execute
 from flowrank.cli import main
@@ -111,6 +117,26 @@ class TestSearchCommand:
         expected = format_trec_run(execute(node, read_topics("topics.tsv")), "flowrank")
         assert len(expected.splitlines()) == 6
         assert out.encode("utf-8") == expected.encode("utf-8")
+
+    def test_reader_closing_the_pipe_early_is_no_traceback(self, tmp_path):
+        """`flowrank search ... | head -n 1`: 10 topics of 1,000 lines each,
+        far more than a pipe buffers, so writes go on after the reader left."""
+        corpus = tmp_path / "corpus.jsonl"
+        docs = ({"docno": f"d{i}", "text": "a " * (1 + i % 7)} for i in range(1000))
+        corpus.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        (tmp_path / "topics.tsv").write_text("".join(f"q{i}\ta\n" for i in range(10)))
+        assert main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "ix")]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(flowrank.__file__).resolve().parent.parent)}
+        argv = [sys.executable, "-m", "flowrank.cli", "search", "--index", "ix", "--pipeline", "bm25"]
+        argv += ["--topics", "topics.tsv"]
+        proc = subprocess.Popen(argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert first.startswith(b"q0 Q0 d")
+        assert err == b""
 
 
 class TestDamagedInputs:

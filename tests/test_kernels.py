@@ -7,8 +7,11 @@ as ``float.hex``, which tells ``-0.0`` from ``0.0``), not within a tolerance.
 
 import math
 import random
+import sys
 import tempfile
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 from flowrank.algebra import execute
 from flowrank.dsl import elaborate, parse
+from flowrank.errors import DataError
 from flowrank.frames import Relation, rank_tuples, sort_and_rank
 from flowrank.index import _TOKEN, build_index, count_adjacent, load_index, tokenize
 from flowrank import transformers
@@ -189,6 +193,139 @@ def test_retriever_builds_its_length_norms_once(tmp_path, monkeypatch):
     assert first == second
     oracle = oracle_score_groups(index, Bm25Params(), [("w", 1.0, ["c"])])
     assert bits([row[2:4] for row in second.rows if row[0] == "q2"]) == bits(oracle)
+
+
+# ---------------------------------------------------------------------------
+# the retrievers' impact tables (transformers._table), one per (index, k1, b)
+# ---------------------------------------------------------------------------
+
+
+def test_bm25_impact_is_written_once():
+    """The benchmark's wrong-scores check mutates this one factor in the source."""
+    assert Path(transformers.__file__).read_text(encoding="utf-8").count("(k1 + 1.0)") == 1
+
+
+def n_postings(index):
+    return sum(map(index.df, index.terms()))
+
+
+def stored_impacts(index):
+    """The impacts an index's tables hold, over all its tables."""
+    return sum(len(impacts) for _, stored in index._bm25_tables.values() for impacts in stored.values())
+
+
+def random_groups(rng):
+    """#w groups over VOCAB and zz (in no document), weights 0, negative or fractional, and #ow windows."""
+    weights = [1.0, 0.0, -0.0, -1.0, 0.5, 0.9, 2.5, 1e-320, rng.uniform(-5.0, 5.0)]
+    groups = [("w", rng.choice(weights), rng.choices(VOCAB + ["zz"], k=rng.randint(1, 4)))]
+    if rng.random() < 0.3:
+        groups.append(("ow", rng.choice(weights), rng.choices(VOCAB, k=2)))
+    return groups
+
+
+def test_stored_impacts_score_as_impacts_computed_per_call(tmp_path):
+    """One handle stores what fits, another (no room) computes every call;
+    first calls, which fill the table, and later calls, which read it."""
+    rng = random.Random(13)
+    admitted = refused = 0
+    for trial in range(60):
+        corpus = [(f"d{i:02d}", " ".join(rng.choices(VOCAB, k=rng.randint(0, 8)))) for i in range(rng.randint(1, 30))]
+        build_index(corpus, tmp_path / f"ix{trial}")
+        stored, per_call = load_index(tmp_path / f"ix{trial}"), load_index(tmp_path / f"ix{trial}")
+        per_call._bm25_room = 0
+        params = Bm25Params(
+            k1=rng.choice([0.0, 0.9, 1.2, 2.0]), b=rng.choice([0.0, 0.75, 1.0]), num_results=rng.randint(1, 12)
+        )
+        queries = [random_groups(rng) for _ in range(3)]
+        for groups in queries + queries:
+            got = bits(retrieve(stored, params, groups))
+            assert got == bits(retrieve(per_call, params, groups))
+            assert got == bits(oracle_score_groups(stored, params, groups))
+        table = stored._bm25_tables[(params.k1, params.b)][1]
+        assert stored_impacts(stored) <= n_postings(stored) // 4
+        assert per_call._bm25_tables[(params.k1, params.b)][1] == {}
+        terms = {term for groups in queries for kind, _, tokens in groups if kind == "w" for term in tokens}
+        admitted += len(table)
+        refused += sum(term not in table and stored.df(term) > 0 for term in terms)
+    assert admitted > 50 and refused > 50
+
+
+def test_one_table_per_index_k1_and_b(tmp_path):
+    # 68 postings: room for 17 impacts, both tables' 8
+    corpus = [("d1", "a b"), ("d2", "a c c"), ("d3", "c"), ("d4", "b c a")] + [(f"f{i}", f"f{i}") for i in range(60)]
+    build_index(corpus, tmp_path / "ix")
+    index, other = load_index(tmp_path / "ix"), load_index(tmp_path / "ix")
+    queries = Relation(("qid", "query"), [("q1", "a b c")])
+    registry(index)["bm25"]().transform(queries)
+    registry(index)["wbm25"](num_results=2).transform(queries)  # num_results is not part of the key
+    assert list(index._bm25_tables) == [(1.2, 0.75)]
+    shared = index._bm25_tables[(1.2, 0.75)]
+    registry(index)["wbm25"](k1=0.9).transform(queries)
+    assert list(index._bm25_tables) == [(1.2, 0.75), (0.9, 0.75)]
+    assert index._bm25_tables[(1.2, 0.75)] is shared
+    own = index._bm25_tables[(0.9, 0.75)]
+    assert own[0] != shared[0]  # the length norms hold k1
+    assert set(own[1]) == set(shared[1]) == {"a", "b", "c"}
+    assert all(own[1][term] != shared[1][term] for term in "abc")  # the impacts hold k1 too
+    assert other._bm25_tables == {}  # another handle on the directory has its own tables
+
+
+def test_tables_stay_within_a_quarter_of_the_postings(tmp_path):
+    """Every term of a 400-term index, under two parameter sets: terms are
+    admitted first come until the room is spent, the rest scored per call."""
+    rng = random.Random(5)
+    words = [f"w{i}" for i in range(400)]
+    corpus = [(f"d{i}", " ".join(rng.choices(words, weights=range(400, 0, -1), k=30))) for i in range(200)]
+    build_index(corpus, tmp_path / "ix")
+    index = load_index(tmp_path / "ix")
+    quarter = n_postings(index) // 4
+    for params in (Bm25Params(), Bm25Params(k1=2.0, b=0.3)):
+        stage = weighted_bm25_retriever(index, params)
+        for term in index.terms():
+            stage.transform(Relation(("qid", "query"), [("q", f"#w(0.5) {term}")]))
+    assert stored_impacts(index) + index._bm25_room == quarter
+    # a refused term did not fit in the room left then, which never grows
+    refused = [term for term in index.terms() for _, stored in index._bm25_tables.values() if term not in stored]
+    assert refused and all(index.df(term) > index._bm25_room for term in refused)
+
+
+def test_threads_filling_one_fresh_table_reply_alike(tmp_path):
+    rng = random.Random(17)
+    words = [f"w{i}" for i in range(60)]
+    corpus = [(f"d{i}", " ".join(rng.choices(words, weights=range(60, 0, -1), k=12))) for i in range(300)]
+    build_index(corpus, tmp_path / "ix")
+    index, per_call = load_index(tmp_path / "ix"), load_index(tmp_path / "ix")
+    per_call._bm25_room = 0
+    queries = [Relation(("qid", "query"), [("q1", " ".join(rng.choices(words, k=3)))]) for _ in range(30)]
+    expr = "rrf(bm25, sdm >> wbm25)"
+    expected = [repr(execute(elaborate(parse(expr), registry(per_call)), q).rows) for q in queries]
+    node = elaborate(parse(expr), registry(index))
+    start = threading.Barrier(8)
+
+    def replies(_):
+        start.wait()
+        return [repr(execute(node, q).rows) for q in queries]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads interleave inside a fill, not only between ops
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            assert list(pool.map(replies, range(8))) == [expected] * 8
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(index._bm25_tables) == 1
+    assert stored_impacts(index) + index._bm25_room == n_postings(index) // 4  # each stored term paid once
+
+
+def test_overflowing_k1_names_its_qid_when_the_table_holds_the_nan(tmp_path):
+    docs = [("d1", "fox fox fox fox fox a b c d"), ("d2", "a"), ("d3", "b"), ("d4", "c"), ("d5", "d")]
+    build_index(docs, tmp_path / "ix")
+    index = load_index(tmp_path / "ix")
+    stage = registry(index)["bm25"](k1=1.7e308, b=1.0)
+    for _ in range(2):  # the first call stores fox's NaN impact, the second reads it
+        with pytest.raises(DataError, match="score nan for qid 'q1' cannot be ranked"):
+            stage.transform(Relation(("qid", "query"), [("q1", "fox")]))
+        assert math.isnan(index._bm25_tables[(1.7e308, 1.0)][1]["fox"][0])
 
 
 # ---------------------------------------------------------------------------

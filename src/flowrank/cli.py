@@ -34,6 +34,12 @@ def _load_pipeline(index_dir: str, pipeline_arg: str):
     return elaborate(parse(_pipeline_source(pipeline_arg)), registry(load_index(index_dir)))
 
 
+def _stdout():
+    if sys.stdout is None:  # the shell closed it (`>&-`): fail as a closed pipe does
+        raise BrokenPipeError("standard output is closed")
+    return sys.stdout
+
+
 def _column_set(arg: str) -> set[str]:
     return {c.strip() for c in arg.split(",") if c.strip()}
 
@@ -51,8 +57,9 @@ def cmd_search(args) -> int:
     if missing:
         raise FlowrankError(f"pipeline output is not a ranking: missing columns {cols_str(missing)}")
     lines = trec_lines(execute(node, topics), args.tag)
+    out = _stdout()
     while chunk := "".join(islice(lines, TREC_CHUNK_LINES)):
-        sys.stdout.write(chunk)
+        out.write(chunk)
     return 0
 
 
@@ -95,7 +102,7 @@ def cmd_schematic(args) -> int:
         except OSError as exc:
             raise FlowrankError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     else:
-        sys.stdout.write(rendered)
+        _stdout().write(rendered)
     return 0
 
 
@@ -180,7 +187,8 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader stopped early (`flowrank search ... | head`): what is left
         # in stdout's buffer goes to devnull, so the flush at exit cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -65,11 +65,6 @@ class ERRF(PipelineExpr):
 # Lexer
 # --------------------------------------------------------------------------
 
-_IDENT = re.compile(r"[a-z_][a-z0-9_]*")
-_NUMBER = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?")
-_STRING = re.compile(r'"(\\.|[^"\\])*"')
-
-
 @dataclass(frozen=True)
 class Token:
     kind: str  # IDENT | NUMBER | STRING | OP | EOF
@@ -79,61 +74,43 @@ class Token:
     col: int
 
 
+# one alternative per kind, tried in this order: ">>" before the
+# one-character operators, and any other character is an error
+_TOKEN = re.compile(
+    r"""(?P<NEWLINE>\n)
+    | (?P<SPACE>[ \t\r]+)
+    | (?P<OP>>>|[+*(),=])
+    | (?P<NUMBER>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    | (?P<IDENT>[a-z_][a-z0-9_]*)
+    | (?P<STRING>"(?:\\.|[^"\\])*")
+    | (?P<OTHER>.)""",
+    re.VERBOSE,
+)
+
+
 def _lex(src: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line, col = line + 1, 1
-            i += 1
+    line, line_start = 1, 0  # line_start: the offset just past the last newline
+    for m in _TOKEN.finditer(src):
+        kind, text, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "SPACE":
             continue
-        if src.startswith(">>", i):
-            tokens.append(Token("OP", ">>", ">>", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "+*(),=":
-            tokens.append(Token("OP", ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _NUMBER.match(src, i)
-        if m:
-            text = m.group(0)
-            try:
+        if kind == "OTHER":
+            raise ParseError(line, col, f"unexpected character {text!r}")
+        try:
+            if kind == "NUMBER":
                 value = float(text) if ("." in text or "e" in text or "E" in text) else int(text)
-            except ValueError:  # more digits than int() converts
-                raise ParseError(line, col, f"integer literal of {len(text)} digits is too long") from None
-            tokens.append(Token("NUMBER", text, value, line, col))
-            i = m.end()
-            col += len(text)
-            continue
-        m = _IDENT.match(src, i)
-        if m:
-            text = m.group(0)
-            tokens.append(Token("IDENT", text, text, line, col))
-            i = m.end()
-            col += len(text)
-            continue
-        m = _STRING.match(src, i)
-        if m:
-            text = m.group(0)
-            try:
-                value = json.loads(text)
-            except json.JSONDecodeError as exc:  # an escape or control character JSON does not allow
-                raise ParseError(line, col, f"bad string literal: {exc.msg}") from None
-            tokens.append(Token("STRING", text, value, line, col))
-            i = m.end()
-            col += len(text)
-            continue
-        raise ParseError(line, col, f"unexpected character {ch!r}")
-    tokens.append(Token("EOF", "", None, line, col))
+            else:
+                value = json.loads(text) if kind == "STRING" else text
+        except json.JSONDecodeError as exc:  # an escape or control character JSON does not allow
+            raise ParseError(line, col, f"bad string literal: {exc.msg}") from None
+        except ValueError:  # more digits than int() converts
+            raise ParseError(line, col, f"integer literal of {len(text)} digits is too long") from None
+        tokens.append(Token(kind, text, value, line, col))
+    tokens.append(Token("EOF", "", None, line, len(src) - line_start + 1))
     return tokens
 
 

@@ -46,20 +46,15 @@ class FlowStep(NamedTuple):
     outputs: frozenset[str]
 
 
-def _invalid(path, label, available, required=None) -> ValidationError:
-    """The failure of the node at *path*: it requires *required* columns, or,
-    when *required* is None, declares no inspection spec."""
-    if required is None:
-        detail, missing = "declares no inspection spec", frozenset()
-    else:
-        detail = f"requires {cols_str(required)} but only {cols_str(available)} available"
-        missing = frozenset(required) - frozenset(available)
+def _invalid(path, label, available, required) -> ValidationError:
+    """The failure of the node at *path*: it requires *required* columns."""
+    message = f"invalid pipeline at {path_str(path)}: {label} requires {cols_str(required)}"
     diagnostic = ValidationDiagnostic(
         ok=False,
         failing_path=tuple(path),
-        missing=missing,
+        missing=frozenset(required) - frozenset(available),
         available=frozenset(available),
-        message=f"invalid pipeline at {path_str(path)}: {label} {detail}",
+        message=f"{message} but only {cols_str(available)} available",
     )
     return ValidationError(diagnostic)
 
@@ -82,8 +77,6 @@ def _flow(node: PipelineNode, path: tuple[int, ...], cols: frozenset[str], steps
     steps[path] = None  # keeps preorder: a node's place precedes its children's
     if isinstance(node, Leaf):
         label, spec = node.transformer.name, node.transformer.spec
-        if spec is None:
-            raise _invalid(path, label, cols)
         out = spec.outputs_for(cols)
         if out is None:
             raise _invalid(path, label, cols, spec.closest(cols))
@@ -130,14 +123,7 @@ def input_columns(node: PipelineNode) -> list[frozenset[str]]:
 def io_report(node: PipelineNode) -> dict[frozenset[str], frozenset[str]]:
     """Each input column set that satisfies the pipeline -> the columns it
     produces, in declaration order, from one flow per candidate.
-
-    A leaf without a spec, wherever it stands, raises the failure that
-    :func:`flow` gives it: no input can satisfy it, and no candidate flow
-    may swallow that.
     """
-    for path, t in subtransformers(node):
-        if t.spec is None:
-            raise _invalid(path, t.name, ())
     outputs_for: dict[frozenset[str], frozenset[str]] = {}
     for cand in _candidate_inputs(node):
         if cand not in outputs_for:

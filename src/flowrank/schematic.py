@@ -30,7 +30,6 @@ class FrameBadge:
 class Box:
     path: tuple[int, ...]
     title: str
-    attrs: tuple[tuple[str, str], ...]
     tooltip: str
 
 
@@ -77,11 +76,8 @@ def _layout(node: PipelineNode, path, steps) -> list:
     step = steps[path]
     if isinstance(node, Leaf):
         t = node.transformer
-        attr_pairs = tuple(attributes(t))
-        tooltip = t.description
-        if attr_pairs:
-            tooltip += "\n" + "\n".join(f"{k}={v}" for k, v in attr_pairs)
-        stage = Box(path, step.label, attr_pairs, tooltip)
+        tooltip = "\n".join([t.description, *(f"{k}={v}" for k, v in attributes(t))])
+        stage = Box(path, step.label, tooltip)
     else:
         if isinstance(node, Linear):
             params = tuple((f"w{i}", format_value(w)) for i, w in enumerate(node.weights))

@@ -71,6 +71,7 @@ def spec(accepts, produces, passthrough: bool = False) -> TransformerSpec:
 class Transformer:
     """A named unit mapping one relation to another.
 
+    ``spec`` declares its columns and must be a :class:`TransformerSpec`.
     ``fn`` is the raw transform procedure; call :meth:`transform` instead,
     which checks the columns in and out against the spec.  ``index`` is the
     index handle ``fn`` reads, if any: transformers over different handles
@@ -80,13 +81,15 @@ class Transformer:
     name: str
     description: str
     attributes: tuple[tuple[str, object], ...]
-    spec: TransformerSpec | None
+    spec: TransformerSpec
     fn: Callable[[Relation], Relation] = field(repr=False)
     index: Index | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        if not isinstance(self.spec, TransformerSpec):
+            raise TypeError(f"transformer {self.name!r} needs a TransformerSpec, got {type(self.spec).__name__}")
+
     def transform(self, rel: Relation) -> Relation:
-        if self.spec is None:
-            return self.fn(rel)
         declared = self.spec.outputs_for(rel.columns)
         if declared is None:
             required = self.spec.closest(rel.columns)

@@ -139,6 +139,25 @@ class TestSearchCommand:
         assert err == b""
 
 
+class TestClosedStdout:
+    """`flowrank search ... >&-` ends as a closed pipe does: exit 1, nothing on stderr."""
+
+    def _run_with_stdout_closed(self, cwd, *args):
+        env = {**os.environ, "PYTHONPATH": str(Path(flowrank.__file__).resolve().parent.parent)}
+        argv = ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "flowrank.cli", *args]
+        return subprocess.run(argv, cwd=cwd, env=env, stderr=subprocess.PIPE, timeout=60)
+
+    def test_search(self, workspace):
+        args = ["search", "--index", "ix", "--pipeline", "bm25", "--topics", "topics.tsv"]
+        proc = self._run_with_stdout_closed(workspace, *args)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+    def test_schematic(self, workspace):
+        args = ["schematic", "--index", "ix", "--pipeline", "bm25", "--format", "text"]
+        proc = self._run_with_stdout_closed(workspace, *args)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 class TestDamagedInputs:
     """An unreadable input file is a domain error naming it: exit 1, no traceback."""
 

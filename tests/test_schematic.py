@@ -6,7 +6,7 @@ import pytest
 
 from flowrank import inspect as fr_inspect
 from flowrank.algebra import Leaf, rr_fusion, then
-from flowrank.dsl import elaborate, parse
+from flowrank.dsl import elaborate, parse, render
 from flowrank.errors import ValidationError
 from flowrank.frames import canonical_columns
 from flowrank.index import build_index, load_index
@@ -19,7 +19,7 @@ from flowrank.schematic import (
     render_html,
     render_text,
 )
-from flowrank.transformers import bm25_retriever, lexical_rescorer, registry, text_loader
+from flowrank.transformers import Transformer, bm25_retriever, lexical_rescorer, registry, spec, text_loader
 
 from conftest import FIGURE1_EXPR, TOY5, random_expr
 
@@ -120,6 +120,16 @@ class TestRenderText:
             "--Q--> [bm25] --R-->\n--Q--> [bm25] --R-->\n}=rrf=> --R-->\n"
         )
 
+    def test_fork_after_a_stage_ends_the_stage_line(self, toy_registry):
+        node = elaborate(parse("sdm >> rrf(wbm25, bm25) >> text_loader"), toy_registry)
+        g = build_schematic(node, {"qid", "query"})
+        assert render_text(g) == (
+            "--Q--> [sdm] --Q-->\n"
+            "--Q--> [wbm25] --R-->\n"
+            "--Q--> [bm25] --R-->\n"
+            "}=rrf=> --R--> [text_loader] --R+-->\n"
+        )
+
     def test_linear_fork_join_label(self, toy_index):
         from flowrank.algebra import linear
 
@@ -129,6 +139,16 @@ class TestRenderText:
         g = build_schematic(node, {"qid", "query"})
         assert "}=linear=>" in render_text(g)
         assert 'data-fusion="linear"' in render_html(g)
+
+
+class TestRenderExpression:
+    @pytest.mark.parametrize("src", ['x(s="a\\"b\\n")', 'x(s="")', 'x(s=" ")'])
+    def test_string_keyword_round_trips(self, src):
+        def x(s):
+            return Transformer("x", "holds a string", (("s", s),), spec({"qid"}, {"qid"}), lambda rel: rel)
+
+        node = elaborate(parse(src), {"x": x})
+        assert elaborate(parse(render(node)), {"x": x}) == node
 
 
 class TestGoldens:

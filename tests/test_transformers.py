@@ -544,6 +544,20 @@ class TestNonFiniteScores:
             execute(node, candidates)
         assert err.value.path == (1,)
 
+    def test_rescore_infinite_part_of_a_score_fails_at_its_leaf(self):
+        # fox's impact in d1 is inf: idf * tf * (k1 + 1) = log(2) * 3 * 1e308
+        # overflows, while d1's length norm, 1.45e308, stays finite
+        docs = [("d1", "fox fox fox a"), ("d2", "a")]
+        candidates = rel(
+            [{"qid": "q1", "query": "fox fox", "docno": d, "text": t} for d, t in docs],
+            ["qid", "query", "docno", "text"],
+        )
+        rescore = lexical_rescorer(Bm25Params(k1=1e308))
+        node = rr_fusion([Leaf(lexical_rescorer()), Leaf(rescore)])
+        with pytest.raises(DataError, match="a weighted part of a score is not finite") as err:
+            execute(node, candidates)
+        assert err.value.path == (1,)
+
     def test_custom_stage_returning_nan_fails_at_its_path(self, toy_index):
         def nan_scores(rel_in):
             return rel(

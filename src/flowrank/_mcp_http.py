@@ -8,6 +8,7 @@ them out of every process that does not serve (``flowrank search`` and
 
 from __future__ import annotations
 
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .mcp import INVALID_REQUEST, MAX_BODY_BYTES, SERVER_NAME, SERVER_VERSION, _rpc_error
@@ -32,6 +33,10 @@ class Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    def _refuse(self, detail: str):
+        """Answer a request refused before dispatch with a JSON-RPC Invalid Request."""
+        self._send_json(_rpc_error(None, INVALID_REQUEST, f"Invalid Request: {detail}"))
+
     def do_POST(self):
         if self.path != "/mcp":
             self.send_error(404, "only POST /mcp is served")
@@ -42,20 +47,13 @@ class Handler(BaseHTTPRequestHandler):
             length = -1
         if length < 0:
             # rfile.read(-1) would block until the client closes
-            self._send_json(_rpc_error(None, INVALID_REQUEST, "Invalid Request: bad Content-Length"))
-            return
+            return self._refuse("bad Content-Length")
         if length > MAX_BODY_BYTES:
-            self._send_json(
-                _rpc_error(None, INVALID_REQUEST, f"Invalid Request: body exceeds {MAX_BODY_BYTES} bytes")
-            )
-            return
+            return self._refuse(f"body exceeds {MAX_BODY_BYTES} bytes")
         body = self.rfile.read(length)
         if len(body) < length:
             # the client closed its side early: what came is not the request it declared
-            self._send_json(
-                _rpc_error(None, INVALID_REQUEST, "Invalid Request: body shorter than its Content-Length")
-            )
-            return
+            return self._refuse("body shorter than its Content-Length")
         response = self.server.dispatcher.dispatch_bytes(body)
         if response is None:
             self.send_response(202)
@@ -69,8 +67,36 @@ class Handler(BaseHTTPRequestHandler):
 
 
 class Server(ThreadingHTTPServer):
+    """A running MCP server: it serves from its own thread until close(), which ``with`` calls."""
+
     daemon_threads = True
 
     def __init__(self, address, dispatcher):
         super().__init__(address, Handler)
         self.dispatcher = dispatcher
+        self._thread = threading.Thread(target=self.serve_forever, name="flowrank-mcp", daemon=True)
+        self._thread.start()
+
+    @property
+    def host(self) -> str:
+        return self.server_address[0]
+
+    @property
+    def port(self) -> int:
+        return self.server_address[1]
+
+    @property
+    def url(self) -> str:
+        return f"http://{self.host}:{self.port}/mcp"
+
+    def join(self):
+        """Block until the server is shut down."""
+        self._thread.join()
+
+    def close(self):
+        self.shutdown()
+        self.server_close()
+        self._thread.join(timeout=5)
+
+    def __exit__(self, *exc):
+        self.close()

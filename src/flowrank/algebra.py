@@ -16,7 +16,7 @@ from itertools import chain, repeat
 from operator import itemgetter, mul
 from typing import Iterable
 
-from .errors import DataError, FlowrankError, InvalidK, ValidationError, WeightLengthMismatch
+from .errors import DataError, FlowrankError, InvalidK, WeightLengthMismatch
 from .frames import RANKING, Relation, _unique_pairs, canonical_columns, rank_tuples
 from .transformers import Transformer
 
@@ -109,11 +109,9 @@ def execute(node: PipelineNode, rel: Relation) -> Relation:
     column flow is incompatible; execution-time errors carry the failing
     node's tree path.
     """
-    from .inspect import validate  # deferred: inspect imports the node types
+    from .inspect import flow  # deferred: inspect imports the node types
 
-    diagnostic = validate(node, set(rel.columns))
-    if not diagnostic.ok:
-        raise ValidationError(diagnostic)
+    flow(node, rel.columns)
     return _run(node, rel, ())
 
 

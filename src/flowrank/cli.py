@@ -46,7 +46,7 @@ def _column_set(arg: str) -> set[str]:
 
 def cmd_index(args) -> int:
     stats = build_index(read_corpus(args.corpus), args.out)
-    print(f"indexed {stats.n_docs} documents ({stats.total_tokens} tokens) into {args.out}")
+    _stdout().write(f"indexed {stats.n_docs} documents ({stats.total_tokens} tokens) into {args.out}\n")
     return 0
 
 
@@ -67,7 +67,7 @@ def cmd_validate(args) -> int:
     node = _load_pipeline(args.index, args.pipeline)
     diagnostic = fr_inspect.validate(node, _column_set(args.input_columns))
     if diagnostic.ok:
-        print("ok")
+        _stdout().write("ok\n")
         return 0
     print(diagnostic.message, file=sys.stderr)
     return 1
@@ -76,16 +76,14 @@ def cmd_validate(args) -> int:
 def cmd_inspect(args) -> int:
     node = _load_pipeline(args.index, args.pipeline)
     report = fr_inspect.io_report(node)
-    print("accepted inputs:")
-    for accepted, produced in report.items():
-        print(f"  {cols_str(accepted)} -> {cols_str(produced)}")
+    lines = ["accepted inputs:", *(f"  {cols_str(a)} -> {cols_str(p)}" for a, p in report.items())]
     if not report:
-        print("  (none)")
-    print("subtransformers:")
+        lines.append("  (none)")
+    lines.append("subtransformers:")
     for path, t in fr_inspect.subtransformers(node):
         attrs = ", ".join(f"{k}={v}" for k, v in fr_inspect.attributes(t))
-        suffix = f"  ({attrs})" if attrs else ""
-        print(f"  {path_str(path)} {t.name}{suffix}")
+        lines.append(f"  {path_str(path)} {t.name}" + (f"  ({attrs})" if attrs else ""))
+    _stdout().write("".join(f"{line}\n" for line in lines))
     return 0
 
 
@@ -119,12 +117,12 @@ def cmd_serve(args) -> int:
         node = elaborate(parse(_pipeline_source(expr)), reg)
         pipelines[name] = (node, f"runs the retrieval pipeline {render(node)}")
     config = ServerConfig(host=args.host, port=args.port, pipelines=pipelines)
-    handle = serve(config)
-    print(f"serving MCP on {handle.url}", file=sys.stderr)
+    server = serve(config)
+    print(f"serving MCP on {server.url}", file=sys.stderr)
     try:
-        handle.join()
+        server.join()
     except KeyboardInterrupt:
-        handle.close()
+        server.close()
     return 0
 
 

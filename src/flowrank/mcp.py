@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass, field
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -308,57 +307,20 @@ class _Dispatcher:
             )
 
 
-class ServerHandle:
-    """A running MCP server; close() stops it. Usable as a context manager."""
+def serve(config: ServerConfig):
+    """Start serving the configured pipelines; returns the running server.
 
-    def __init__(self, httpd, thread: threading.Thread):
-        self._httpd = httpd
-        self._thread = thread
-
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}/mcp"
-
-    def join(self):
-        """Block until the server is shut down."""
-        self._thread.join()
-
-    def close(self):
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        self._thread.join(timeout=5)
-
-    def __enter__(self) -> "ServerHandle":
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
-def serve(config: ServerConfig) -> ServerHandle:
-    """Start serving the configured pipelines; returns a running handle.
-
-    It binds ``config.port`` on ``config.host``; port 0 takes a free port.
-    Raises :class:`BindError` if the address cannot be bound and
-    :class:`NotServable` if a registered pipeline cannot run from a query
-    frame.  The HTTP stack is imported here, on the first call, not with
-    this module.
+    The server has ``host``, ``port``, ``url``, ``join()`` and ``close()``,
+    and ``with`` closes it.  It binds ``config.port`` on ``config.host``;
+    port 0 takes a free port.  Raises :class:`BindError` if the address
+    cannot be bound and :class:`NotServable` if a registered pipeline cannot
+    run from a query frame.  The HTTP stack is imported here, on the first
+    call, not with this module.
     """
     from ._mcp_http import Server
 
     dispatcher = _Dispatcher(config)
     try:
-        httpd = Server((config.host, config.port), dispatcher)
+        return Server((config.host, config.port), dispatcher)
     except OSError as exc:
         raise BindError(config.host, config.port, str(exc)) from exc
-    thread = threading.Thread(target=httpd.serve_forever, name="flowrank-mcp", daemon=True)
-    thread.start()
-    return ServerHandle(httpd, thread)

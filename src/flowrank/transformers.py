@@ -20,7 +20,7 @@ from operator import add, is_, itemgetter, mul
 from typing import Callable, Iterable
 
 from .errors import DataError, EmptyQuery, MalformedWeightedQuery, MissingColumn
-from .frames import Relation, join_on_docno, put_column, rank_tuples
+from .frames import Relation, _check_scores, join_on_docno, put_column, rank_tuples
 from .index import Index, adjacent_counts, tokenize
 
 
@@ -334,21 +334,24 @@ def _plists(index: Index, k1: float, table: _Table, groups):
             yield weight, doc_ids, _impacts(index.n_docs, k1, table[0], doc_ids, counts)
 
 
-def _score_groups(index: Index, params: Bm25Params, groups) -> Iterable[tuple[str, float]]:
+def _score_groups(index: Index, params: Bm25Params, qid: str, groups) -> Iterable[tuple[str, float]]:
     """The ``(docno, score)`` pairs of the index's best ``num_results``
     documents for *groups*, by :func:`_bm25` over its postings, and of every
     document tied with the last of them: best first, in no order among equal
     scores.  Unigrams read their impacts from the index's :func:`_table`.
 
     The matched ids are sorted once by score and cut; only
-    :func:`~flowrank.frames.rank_tuples` puts the cut in ranking order.  A
-    score that is not finite (only a weight or a ``k1`` near ``1e308``
-    makes one) raises :class:`DataError`."""
+    :func:`~flowrank.frames.rank_tuples` puts the cut in ranking order.
+    Every matched score is checked before the sort, so that none is cut
+    unseen: a NaN raises the ranking rule's :class:`DataError` for *qid*,
+    and else an infinite score raises one of its own (only a weight or a
+    ``k1`` near ``1e308`` makes either)."""
     scores = _bm25(_plists(index, params.k1, _table(index, params), groups))
+    if not math.isfinite(sum(scores.values())):  # a NaN or an infinity makes the sum one
+        _check_scores(repeat(qid), scores.values())
+        if not all(map(math.isfinite, scores.values())):
+            raise DataError("a weighted part of a score is not finite")
     by_score = sorted(scores, key=scores.__getitem__, reverse=True)
-    # only a weight, or a k1 near 1e308, can make a part infinite
-    if by_score and (scores[by_score[-1]] == -math.inf or scores[by_score[0]] == math.inf):
-        raise DataError("a weighted part of a score is not finite")
     k = params.num_results
     if len(by_score) > k:
         # every score at or above the k-th largest, so that ties at the cut all survive
@@ -375,7 +378,7 @@ def _retriever(name: str, description: str, index: Index, params: Bm25Params, we
         for qid, query in sorted(queries.items()):  # the ranking rule's qid order
             plain = not (weighted and is_weighted_query(query))
             groups = [("w", 1.0, tokenize(query))] if plain else parse_weighted_query(query)
-            cut = map(add, repeat((qid, query)), _score_groups(index, params, groups))
+            cut = map(add, repeat((qid, query)), _score_groups(index, params, qid, groups))
             # ranked one qid at a time: ranking every qid's cut in one call
             # holds all their rows twice at once, and their sort keys too
             rows += rank_tuples(_RETRIEVER_OUT[:-1], cut)[1][: params.num_results]

@@ -140,7 +140,8 @@ class TestSearchCommand:
 
 
 class TestClosedStdout:
-    """`flowrank search ... >&-` ends as a closed pipe does: exit 1, nothing on stderr."""
+    """Every command that writes a report ends as a closed pipe does when
+    the shell closed its standard output (`>&-`): exit 1, nothing on stderr."""
 
     def _run_with_stdout_closed(self, cwd, *args):
         env = {**os.environ, "PYTHONPATH": str(Path(flowrank.__file__).resolve().parent.parent)}
@@ -155,6 +156,18 @@ class TestClosedStdout:
     def test_schematic(self, workspace):
         args = ["schematic", "--index", "ix", "--pipeline", "bm25", "--format", "text"]
         proc = self._run_with_stdout_closed(workspace, *args)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+    def test_index(self, workspace):
+        proc = self._run_with_stdout_closed(workspace, "index", "--corpus", "corpus.jsonl", "--out", "ix2")
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+    def test_inspect(self, workspace):
+        proc = self._run_with_stdout_closed(workspace, "inspect", "--index", "ix", "--pipeline", "bm25")
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+    def test_validate(self, workspace):
+        proc = self._run_with_stdout_closed(workspace, "validate", "--index", "ix", "--pipeline", "bm25")
         assert (proc.returncode, proc.stderr) == (1, b"")
 
 

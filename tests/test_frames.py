@@ -165,12 +165,27 @@ class TestRelationInvariants:
             )
         with pytest.raises(DataError, match="column 'score' holds an integer too large for float64"):
             rel([{"qid": "q1", "docno": "d1", "score": 10**400, "rank": 0}], ["qid", "docno", "score", "rank"])
+        for rank, got in (("0", "str"), (True, "bool")):
+            with pytest.raises(DataError, match=f"column 'rank' expects int64, got {got}"):
+                rel([{"qid": "q1", "docno": "d1", "score": 1.0, "rank": rank}], ["qid", "docno", "score", "rank"])
+        with pytest.raises(DataError, match="column 'query_vec' expects a float vector, got str"):
+            rel([{"qid": "q1", "query_vec": "abc"}], ["qid", "query_vec"])
         # each vector element is checked as a float64 cell is
         for vector, got in ((["a"], "str"), ([None], "NoneType"), (["1.5"], "str"), ([True], "bool")):
             with pytest.raises(DataError, match=f"column 'query_vec' expects numbers in a float vector, got {got}"):
                 rel([{"qid": "q1", "query_vec": vector}], ["qid", "query_vec"])
         with pytest.raises(DataError, match="column 'query_vec' holds an integer too large for float64"):
             rel([{"qid": "q1", "query_vec": [1, 10**400]}], ["qid", "query_vec"])
+
+    def test_from_dicts_without_columns_infers_canonical_order(self):
+        # the columns are those found in any row; a cell a row lacks is null
+        rows = [
+            {"note": "x", "rank": 0, "score": 1.0, "docno": "d1", "qid": "q1"},
+            {"qid": "q1", "docno": "d2", "score": 0.5, "rank": 1},
+        ]
+        r = Relation.from_dicts(rows)
+        assert r.columns == ("qid", "docno", "score", "rank", "note")
+        assert r.rows == (("q1", "d1", 1.0, 0, "x"), ("q1", "d2", 0.5, 1, None))
 
     def test_score_coerced_to_float(self):
         r = rel([{"qid": "q1", "docno": "d1", "score": 2, "rank": 0}], ["qid", "docno", "score", "rank"])

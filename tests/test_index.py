@@ -545,6 +545,12 @@ class TestReadCorpus:
         )
         assert list(read_corpus(f)) == TOY5
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        f = tmp_path / "corpus.jsonl"
+        lines = [json.dumps({"docno": "d1", "text": "a"}), "", "  \t", json.dumps({"docno": "d2", "text": "b"})]
+        f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert list(read_corpus(f)) == [("d1", "a"), ("d2", "b")]
+
     @pytest.mark.parametrize("line", ['{"docno": 1' + "0" * 5000 + "}", "[" * 100_000])
     def test_json_the_decoder_refuses_is_format_error(self, tmp_path, line):
         # an integer literal longer than int() takes, and nesting deeper than the decoder recurses

@@ -8,6 +8,7 @@ from flowrank.errors import MissingColumn, ValidationError
 from flowrank.inspect import (
     attributes,
     flow,
+    format_value,
     input_columns,
     io_report,
     output_columns,
@@ -56,6 +57,13 @@ class TestInputColumns:
         for bad in (None, {"qid"}, (frozenset({"qid"}), frozenset({"qid"}))):
             with pytest.raises(TypeError, match="'opaque'"):
                 Transformer("opaque", "no spec", (), bad, lambda rel: rel)
+
+    def test_a_spec_accepts_each_input_configuration_once(self):
+        with pytest.raises(ValueError, match="at least one input configuration"):
+            TransformerSpec(())
+        once = (frozenset({"qid"}), frozenset({"qid"}))
+        with pytest.raises(ValueError, match="declared more than once"):
+            TransformerSpec((once, once))
 
     def test_unsatisfiable_fusion_is_empty(self):
         node = rr_fusion([Leaf(sdm_rewriter()), Leaf(sdm_rewriter())])
@@ -204,6 +212,9 @@ class TestSubtransformersAndAttributes:
         loader_attrs = attributes(text_loader(toy_index))
         assert [k for k, _ in loader_attrs] == ["index"]
         assert str(toy_index.path) in loader_attrs[0][1]
+
+    def test_booleans_render_in_lower_case(self):
+        assert (format_value(True), format_value(False)) == ("true", "false")
 
     def test_io_report(self, toy_index):
         report = io_report(Leaf(bm25_retriever(toy_index)))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -265,6 +266,15 @@ class TestProtocol:
         # an invalid request and one with an id still get their replies
         assert rpc(server.url, {"method": "notifications/initialized"})["error"]["code"] == -32600
         assert rpc(server.url, {"jsonrpc": "2.0", "id": None, "method": "initialize"})["id"] is None
+
+    @pytest.mark.parametrize("method, path", [("GET", "/mcp"), ("POST", "/other")])
+    def test_only_post_mcp_is_served(self, server, method, path):
+        url = server.url.removesuffix("/mcp") + path
+        request = urllib.request.Request(url, data=b"{}" if method == "POST" else None, method=method)
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request, timeout=10)
+        err.value.close()
+        assert err.value.code == 404
 
     def test_ping_gets_an_empty_result_echoing_its_id(self, server):
         for id_ in (3, "p"):

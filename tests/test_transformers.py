@@ -544,6 +544,20 @@ class TestNonFiniteScores:
             execute(node, candidates)
         assert err.value.path == (1,)
 
+    @pytest.mark.parametrize("make", [bm25_retriever, weighted_bm25_retriever], ids=["bm25", "wbm25"])
+    @pytest.mark.parametrize("query", ["a b", "b a"])
+    def test_nan_below_the_cut_fails_whatever_the_term_order(self, tmp_path, make, query):
+        # d1's part for a is inf / inf, so its score is NaN; with one result
+        # kept, a NaN that the sort placed below the cut was dropped unseen
+        docs = [("d1", "a a a a a a" + " x" * 14)]
+        docs += [(f"e{i}", " ".join(["b"] * (i + 1) + ["c"] * (8 - i))) for i in range(8)]
+        build_index(docs, tmp_path / "ix")
+        index = load_index(tmp_path / "ix")
+        node = rr_fusion([Leaf(bm25_retriever(index)), Leaf(make(index, Bm25Params(k1=1e308, b=1.0, num_results=1)))])
+        with pytest.raises(DataError, match="score nan for qid 'q1' cannot be ranked") as err:
+            execute(node, qframe(("q1", query)))
+        assert err.value.path == (1,)
+
     def test_rescore_infinite_part_of_a_score_fails_at_its_leaf(self):
         # fox's impact in d1 is inf: idf * tf * (k1 + 1) = log(2) * 3 * 1e308
         # overflows, while d1's length norm, 1.45e308, stays finite

@@ -62,7 +62,8 @@ def tokenize(text: str) -> list[str]:
 
 # one term's postings as columns: ascending doc_ids, the tf of each, and
 # every document's positions back to back, tfs[i] of them for doc_ids[i];
-# tfs and positions are read-only views of 4-byte int arrays
+# tfs and positions are read-only views of unsigned arrays of 1 or 2 bytes,
+# or signed ones of 4, one width per index (see _typecode)
 Columns = tuple[tuple[int, ...], memoryview, memoryview]
 # the same postings as (doc_id, tf, positions) rows, all tuples
 PostingList = tuple[tuple[int, int, tuple[int, ...]], ...]
@@ -70,7 +71,12 @@ PostingList = tuple[tuple[int, int, tuple[int, ...]], ...]
 # the columns as a loaded index keeps them, tfs and positions as the arrays
 _Stored = tuple[tuple[int, ...], array, array]
 
-_NO_POSTINGS: _Stored = ((), array("i"), array("i"))
+
+def _typecode(n: int) -> str:
+    """The narrowest array typecode, of 1, 2 or 4 bytes, for an index whose
+    longest document has *n* tokens: every tf (at most n) and every position
+    (below n) fits it, up to n of 2**31 - 1."""
+    return "B" if n < 2**8 else "H" if n < 2**16 else "i"
 
 
 def doc_slices(tfs: Iterable[int]) -> Iterator[slice]:
@@ -165,8 +171,8 @@ def build_index(corpus: Iterable[tuple[str, str]], out_dir) -> IndexStats:
     out_dir = Path(out_dir)
     docs: list[tuple[str, int, str]] = []  # (docno, doc_len, text), position is doc_id
     seen: set[str] = set()
-    postings: dict[str, tuple[array, array, array]] = {}  # term -> 4-byte int columns
-    total_tokens = 0
+    postings: dict[str, tuple[array, array, array]] = {}  # term -> columns; tfs and positions of typecode `code`
+    code, longest, total_tokens = _typecode(0), 0, 0
     for docno, text in corpus:
         if docno in seen:
             raise DuplicateDocno(docno)
@@ -175,6 +181,13 @@ def build_index(corpus: Iterable[tuple[str, str]], out_dir) -> IndexStats:
         tokens = tokenize(text)
         if len(tokens) >= 2**31:  # a tf or position past a 4-byte column
             raise FormatError(f"document {docno!r} has {len(tokens)} tokens; an index takes at most {2**31 - 1}")
+        if len(tokens) > longest:
+            longest = len(tokens)
+            if _typecode(longest) != code:  # widen every term's columns, at most twice a build
+                code = _typecode(longest)
+                postings = {
+                    term: (ids, array(code, tfs), array(code, pos)) for term, (ids, tfs, pos) in postings.items()
+                }
         total_tokens += len(tokens)
         docs.append((docno, len(tokens), text))
         by_term: dict[str, list[int]] = {}
@@ -183,7 +196,7 @@ def build_index(corpus: Iterable[tuple[str, str]], out_dir) -> IndexStats:
         for term, positions in by_term.items():
             columns = postings.get(term)
             if columns is None:
-                columns = postings[term] = (array("i"), array("i"), array("i"))
+                columns = postings[term] = (array("i"), array(code), array(code))
             columns[0].append(doc_id)
             columns[1].append(len(positions))
             columns[2].extend(positions)
@@ -322,14 +335,18 @@ def _pick(seq, indices: list[int]) -> tuple:
     return tuple(map(seq.__getitem__, indices))
 
 
-def _read_postings(file: Path, ids: tuple[int, ...], doc_lens: tuple[int, ...]) -> dict[str, _Stored]:
+def _read_postings(
+    file: Path, ids: tuple[int, ...], doc_lens: tuple[int, ...], code: str
+) -> dict[str, _Stored]:
     """Term -> ``(doc_ids, tfs, positions)`` columns; checked against *doc_lens*.
 
     Every term's ``doc_ids`` are a tuple pointing at the same int object
     per document, the one in *ids* (``ids[i] == i``), instead of at one
-    JSON-decoded int per posting.  ``tfs`` and ``positions`` are
-    ``array("i")``, made only after the checks pass; a value they cannot
-    hold is :class:`CorruptIndex` too.
+    JSON-decoded int per posting.  ``tfs`` and ``positions`` are arrays of
+    typecode *code*, the one :func:`_typecode` gives the longest of
+    *doc_lens*, made only after the checks pass, which bound every value by
+    its document's length; a value that still does not fit (in a document
+    claiming 2**31 tokens or more) is :class:`CorruptIndex` too.
     """
     table = {}
     for lineno, line in enumerate(_read_lines(file), start=1):
@@ -343,7 +360,7 @@ def _read_postings(file: Path, ids: tuple[int, ...], doc_lens: tuple[int, ...]) 
         if fault is not None:
             raise CorruptIndex(str(file), f"line {lineno}: {fault} for term {term!r}")
         try:
-            table[term] = (_pick(ids, doc_ids), array("i", tfs), array("i", positions))
+            table[term] = (_pick(ids, doc_ids), array(code, tfs), array(code, positions))
         except OverflowError as exc:
             raise CorruptIndex(str(file), f"line {lineno}: {exc} for term {term!r}") from exc
     return table
@@ -359,8 +376,9 @@ class Index:
     documents as columns indexed by doc_id (:meth:`docnos`,
     :meth:`doc_lens` and the texts) plus one docno-to-doc_id map, and each
     term's postings as the columns ``(doc_ids, tfs, positions)``
-    (:meth:`columns`): a tuple of the map's shared ints, and two
-    ``array("i")`` of 4-byte ints.
+    (:meth:`columns`): a tuple of the map's shared ints, and two arrays of
+    1, 2 or 4 bytes per value, the narrowest that holds the longest
+    document's length (the same width for every term).
     """
 
     def __init__(self, path):
@@ -389,6 +407,7 @@ class Index:
         self._texts: tuple[str, ...] = ()
         self._doc_lens: tuple[int, ...] = ()
         self._postings: dict[str, _Stored] | None = None
+        self._no_postings: _Stored = ((), array("B"), array("B"))  # an unseen term's, at the index's width
         self._load_lock = threading.Lock()
         # the retrievers' BM25 tables by (k1, b), and how many more impacts
         # they may store in all (None until counted): transformers._table
@@ -420,8 +439,10 @@ class Index:
             if self._postings is None:
                 ids, texts, doc_lens = _read_docs(self.path / "docs.jsonl", self._stats.n_docs)
                 self._check_stats(doc_lens)
-                table = _read_postings(self.path / "postings.jsonl", tuple(ids.values()), doc_lens)
+                code = _typecode(max(doc_lens))
+                table = _read_postings(self.path / "postings.jsonl", tuple(ids.values()), doc_lens, code)
                 self._ids, self._docnos, self._texts, self._doc_lens = ids, tuple(ids), texts, doc_lens
+                self._no_postings = ((), array(code), array(code))
                 # assigned last: the unlocked check above reads it
                 self._postings = table
 
@@ -444,12 +465,13 @@ class Index:
         ``doc_ids`` ascend; ``positions`` holds every document's positions
         back to back, ``tfs[i]`` of them for ``doc_ids[i]`` (see
         :func:`doc_slices`).  ``doc_ids`` is a tuple; ``tfs`` and
-        ``positions`` are read-only memoryviews of 4-byte ints, made on each
-        call, so the handle's arrays cannot be written through them.  An
-        unseen term has three empty columns.
+        ``positions`` are read-only memoryviews of the index's 1-, 2- or
+        4-byte ints (see :class:`Index`), made on each call, so the
+        handle's arrays cannot be written through them.  An unseen term has
+        three empty columns of the same width.
         """
         self._ensure_loaded()
-        doc_ids, tfs, positions = self._postings.get(term, _NO_POSTINGS)
+        doc_ids, tfs, positions = self._postings.get(term, self._no_postings)
         return doc_ids, memoryview(tfs).toreadonly(), memoryview(positions).toreadonly()
 
     def postings(self, term: str) -> PostingList:

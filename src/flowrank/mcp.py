@@ -313,14 +313,15 @@ def serve(config: ServerConfig):
     The server has ``host``, ``port``, ``url``, ``join()`` and ``close()``,
     and ``with`` closes it.  It binds ``config.port`` on ``config.host``;
     port 0 takes a free port.  Raises :class:`BindError` if the address
-    cannot be bound and :class:`NotServable` if a registered pipeline cannot
-    run from a query frame.  The HTTP stack is imported here, on the first
-    call, not with this module.
+    cannot be bound, a port outside 0-65535 among them, and
+    :class:`NotServable` if a registered pipeline cannot run from a query
+    frame.  The HTTP stack is imported here, on the first call, not with
+    this module.
     """
     from ._mcp_http import Server
 
     dispatcher = _Dispatcher(config)
     try:
         return Server((config.host, config.port), dispatcher)
-    except OSError as exc:
+    except (OSError, OverflowError) as exc:  # OverflowError: a port outside 0-65535
         raise BindError(config.host, config.port, str(exc)) from exc

@@ -288,6 +288,16 @@ class TestServeCommand:
         assert served == []
 
 
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_a_port_outside_0_65535_is_a_domain_error(self, workspace, port):
+        env = {**os.environ, "PYTHONPATH": str(Path(flowrank.__file__).resolve().parent.parent)}
+        argv = [sys.executable, "-m", "flowrank.cli", "serve", "--index", "ix", "--pipelines", "a=bm25"]
+        proc = subprocess.run(argv + ["--port", port], cwd=workspace, env=env, capture_output=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: cannot bind 127.0.0.1:{port}: ".encode())
+        assert b"Traceback" not in proc.stderr
+
+
 class TestUsageErrors:
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:

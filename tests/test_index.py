@@ -116,6 +116,55 @@ class TestBuildIndex:
         assert [(docno, ix.text(docno)) for docno in ix.docnos()] == corpus
 
 
+def oracle_columns(corpus):
+    """Term -> [doc_ids, tfs, positions] of *corpus*, from tokenize and enumerate alone."""
+    where: dict[str, dict[int, list[int]]] = {}
+    for doc_id, (_, text) in enumerate(corpus):
+        for pos, term in enumerate(tokenize(text)):
+            where.setdefault(term, {}).setdefault(doc_id, []).append(pos)
+    return {
+        term: [list(docs), list(map(len, docs.values())), list(chain.from_iterable(docs.values()))]
+        for term, docs in where.items()
+    }
+
+
+def _short_docs(start):
+    return [(f"s{i}", f"common w{i % 7} w{i % 11} common") for i in range(start, start + 40)]
+
+
+def _long_doc(docno, n_tokens):
+    return docno, " ".join(f"w{i % 13}" for i in range(n_tokens))
+
+
+class TestWideningMidBuild:
+    """A document longer than the columns' width so far widens every term's
+    columns, already filled, before its own postings go in."""
+
+    @pytest.mark.parametrize(
+        "corpus, itemsize",
+        [
+            (_short_docs(0) + [_long_doc("mid", 300)] + _short_docs(40), 2),
+            (_short_docs(0) + [_long_doc("last", 70_000)], 4),
+            (_short_docs(0) + [_long_doc("mid", 300)] + _short_docs(40) + [_long_doc("last", 70_000)], 4),
+        ],
+        ids=["300-mid", "70000-last", "300-mid-70000-last"],
+    )
+    def test_every_posting_survives_the_widening(self, tmp_path, corpus, itemsize):
+        build_index(corpus, tmp_path / "ix")
+        lines = [json.loads(line) for line in (tmp_path / "ix" / "postings.jsonl").read_text("utf-8").splitlines()]
+        oracle = oracle_columns(corpus)
+        assert [line["term"] for line in lines] == sorted(oracle)
+        for line in lines:
+            doc_ids, tfs, positions = oracle[line["term"]]
+            assert [line["doc_ids"], line["tfs"], line["positions"]] == [doc_ids, tfs, positions]
+            assert (line["df"], line["cf"]) == (len(doc_ids), len(positions))
+        ix = load_index(tmp_path / "ix")
+        for line in lines:
+            doc_ids, tfs, positions = ix.columns(line["term"])
+            assert [list(doc_ids), tfs.tolist(), positions.tolist()] == [line["doc_ids"], line["tfs"], line["positions"]]
+            assert tfs.itemsize == positions.itemsize == itemsize
+
+
 class TestLoadIndex:
     def test_postings_fox(self, toy_index):
         plist = toy_index.postings("fox")
@@ -212,14 +261,14 @@ class TestLoadIndex:
         assert ix.postings("quick") == ((0, 1, (1,)), (2, 2, (0, 1)))
         assert tuple(map(tuple, ix.columns("zzz"))) == ((), (), ())
 
-    def test_columns_are_read_only_four_byte_ints(self, tmp_path):
+    def test_columns_are_read_only_ints_of_the_index_width(self, tmp_path):
         corpus = [(f"d{i}", f"common w{i % 7} w{i % 11}") for i in range(600)]
         build_index(corpus, tmp_path / "ix")
         ix = load_index(tmp_path / "ix")
         for term in ix.terms() + ["zzz"]:
             doc_ids, tfs, positions = ix.columns(term)
             assert type(doc_ids) is tuple
-            assert tfs.itemsize == positions.itemsize == 4
+            assert tfs.itemsize == positions.itemsize == 1  # no document reaches 256 tokens
             assert tfs.readonly and positions.readonly
         _, tfs, positions = ix.columns("common")
         with pytest.raises(TypeError):
@@ -227,6 +276,19 @@ class TestLoadIndex:
         with pytest.raises(TypeError):
             positions[0] = 1
         assert ix.postings("common")[0] == (0, 1, (0,))
+
+    @pytest.mark.parametrize(
+        "longest, itemsize", [(255, 1), (256, 2), (300, 2), (65535, 2), (65536, 4), (70000, 4)]
+    )
+    def test_the_longest_document_sets_the_width(self, tmp_path, longest, itemsize):
+        corpus = [("short", "common w1"), ("long", " ".join(f"w{i % 3}" for i in range(longest)))]
+        build_index(corpus, tmp_path / "ix")
+        ix = load_index(tmp_path / "ix")
+        for term in ix.terms() + ["zzz"]:
+            _, tfs, positions = ix.columns(term)
+            assert tfs.itemsize == positions.itemsize == itemsize
+        ((doc_id, tf, positions),) = ix.postings("w0")  # w0 at every third position of "long"
+        assert (doc_id, tf, positions[-1]) == (1, (longest + 2) // 3, (longest - 1) // 3 * 3)
 
     def test_a_value_no_four_byte_column_holds_is_corrupt(self, tmp_path):
         # d1 claims 2**40 tokens, meta agrees, and quick sits at 2**31 in it:

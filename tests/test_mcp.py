@@ -365,6 +365,12 @@ class TestServeLifecycle:
             with pytest.raises(BindError):
                 serve(ServerConfig(port=handle.port, pipelines={"bm25": (node, "d")}))
 
+    @pytest.mark.parametrize("port", [70000, -1])
+    def test_a_port_outside_0_65535_is_a_bind_error(self, toy_registry, port):
+        node = elaborate(parse("bm25"), toy_registry)
+        with pytest.raises(BindError, match=f"^cannot bind 127\\.0\\.0\\.1:{port}: "):
+            serve(ServerConfig(port=port, pipelines={"bm25": (node, "d")}))
+
     def test_registering_unservable_pipeline_fails_at_startup(self):
         config = ServerConfig(port=0, pipelines={"bad": (Leaf(lexical_rescorer()), "d")})
         with pytest.raises(NotServable):

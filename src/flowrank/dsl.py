@@ -58,7 +58,7 @@ class ELinear(PipelineExpr):
 @dataclass(frozen=True)
 class ERRF(PipelineExpr):
     children: tuple[PipelineExpr, ...]
-    k: float | None = None
+    k: float = DEFAULT_RRF_K
 
 
 # --------------------------------------------------------------------------
@@ -229,7 +229,7 @@ class _Parser:
     def parse_rrf(self) -> ERRF:
         self.expect_op("(")
         children = [self.parse_pipeline()]
-        k: float | None = None
+        k = DEFAULT_RRF_K
         while self.at_op(","):
             self.advance()
             if self.peek().kind == "IDENT" and self.peek().text == "k" and self.at_op("=", 1):
@@ -253,6 +253,8 @@ class _Parser:
             name = self.peek()
             if name.kind != "IDENT":
                 raise self.error(f"got {name.text!r}", expected={"IDENT"})
+            if any(name.text == given for given, _ in pairs):
+                raise self.error(f"keyword {name.text!r} given twice")
             self.advance()
             self.expect_op("=")
             value = self.peek()
@@ -297,8 +299,7 @@ def elaborate(expr: PipelineExpr, registry: Registry) -> PipelineNode:
     if isinstance(expr, ELinear):
         return Linear(tuple(elaborate(c, registry) for c in expr.children), expr.weights)
     if isinstance(expr, ERRF):
-        k = DEFAULT_RRF_K if expr.k is None else expr.k
-        return rr_fusion((elaborate(c, registry) for c in expr.children), k)
+        return rr_fusion((elaborate(c, registry) for c in expr.children), expr.k)
     raise TypeError(f"unknown expression: {expr!r}")
 
 

@@ -65,8 +65,6 @@ def tokenize(text: str) -> list[str]:
 # tfs and positions are read-only views of unsigned arrays of 1 or 2 bytes,
 # or signed ones of 4, one width per index (see _typecode)
 Columns = tuple[tuple[int, ...], memoryview, memoryview]
-# the same postings as (doc_id, tf, positions) rows, all tuples
-PostingList = tuple[tuple[int, int, tuple[int, ...]], ...]
 
 # the columns as a loaded index keeps them, tfs and positions as the arrays
 _Stored = tuple[tuple[int, ...], array, array]
@@ -79,12 +77,6 @@ def _typecode(n: int) -> str:
     return "B" if n < 2**8 else "H" if n < 2**16 else "i"
 
 
-def doc_slices(tfs: Iterable[int]) -> Iterator[slice]:
-    """The slice of a term's positions column holding each document's positions."""
-    ends = list(accumulate(tfs))
-    return map(slice, chain((0,), ends), ends)
-
-
 @dataclass(frozen=True)
 class IndexStats:
     n_docs: int
@@ -94,6 +86,13 @@ class IndexStats:
 
 def _dumps(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+
+
+def _write_records(path: Path, records: Iterable[dict]) -> None:
+    """Write each of *records* to *path* as one line of :func:`_dumps`."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(_dumps(record) + "\n")
 
 
 def text_lines(path) -> Iterator[tuple[int, str]]:
@@ -207,40 +206,34 @@ def build_index(corpus: Iterable[tuple[str, str]], out_dir) -> IndexStats:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         meta_file.unlink(missing_ok=True)
-        with open(out_dir / "docs.jsonl", "w", encoding="utf-8") as fh:
-            for doc_id, (docno, doc_len, text) in enumerate(docs):
-                fh.write(
-                    _dumps({"doc_id": doc_id, "docno": docno, "doc_len": doc_len, "text": text}) + "\n"
-                )
-        with open(out_dir / "postings.jsonl", "w", encoding="utf-8") as fh:
-            for term in sorted(postings):
-                doc_ids, tfs, positions = postings[term]
-                fh.write(
-                    _dumps(
-                        {
-                            "term": term,
-                            "df": len(doc_ids),
-                            "cf": len(positions),
-                            "doc_ids": doc_ids.tolist(),
-                            "tfs": tfs.tolist(),
-                            "positions": positions.tolist(),
-                        }
-                    )
-                    + "\n"
-                )
-        tmp_file = out_dir / "meta.json.tmp"
-        tmp_file.write_text(
-            _dumps(
-                {
-                    "format_version": FORMAT_VERSION,
-                    "n_docs": stats.n_docs,
-                    "total_tokens": stats.total_tokens,
-                    "avg_doc_len": stats.avg_doc_len,
-                }
-            )
-            + "\n",
-            encoding="utf-8",
+        _write_records(
+            out_dir / "docs.jsonl",
+            ({"doc_id": i, "docno": docno, "doc_len": n, "text": text} for i, (docno, n, text) in enumerate(docs)),
         )
+        _write_records(
+            out_dir / "postings.jsonl",
+            (
+                {
+                    "term": term,
+                    "df": len(doc_ids),
+                    "cf": len(positions),
+                    "doc_ids": doc_ids.tolist(),
+                    "tfs": tfs.tolist(),
+                    "positions": positions.tolist(),
+                }
+                # sorted by term alone: sorted items would hold one more tuple per term
+                for term in sorted(postings)
+                for doc_ids, tfs, positions in [postings[term]]
+            ),
+        )
+        tmp_file = out_dir / "meta.json.tmp"
+        meta = {
+            "format_version": FORMAT_VERSION,
+            "n_docs": stats.n_docs,
+            "total_tokens": stats.total_tokens,
+            "avg_doc_len": stats.avg_doc_len,
+        }
+        _write_records(tmp_file, [meta])
         os.replace(tmp_file, meta_file)
     except OSError as exc:
         raise IndexIOError(f"cannot write index under {out_dir}: {exc}") from exc
@@ -388,7 +381,7 @@ class Index:
             meta = json.loads(meta_file.read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError) as exc:
             raise CorruptIndex(str(meta_file), str(exc)) from exc
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, or an integer past int()'s digits
             raise CorruptIndex(str(meta_file), f"invalid JSON: {exc}") from exc
         if not isinstance(meta, dict) or "format_version" not in meta:
             raise CorruptIndex(str(meta_file), "missing format_version")
@@ -463,24 +456,22 @@ class Index:
         """The postings of *term* as ``(doc_ids, tfs, positions)`` columns.
 
         ``doc_ids`` ascend; ``positions`` holds every document's positions
-        back to back, ``tfs[i]`` of them for ``doc_ids[i]`` (see
-        :func:`doc_slices`).  ``doc_ids`` is a tuple; ``tfs`` and
-        ``positions`` are read-only memoryviews of the index's 1-, 2- or
-        4-byte ints (see :class:`Index`), made on each call, so the
-        handle's arrays cannot be written through them.  An unseen term has
-        three empty columns of the same width.
+        back to back, ``tfs[i]`` of them for ``doc_ids[i]``.  ``doc_ids``
+        is a tuple; ``tfs`` and ``positions`` are read-only memoryviews of
+        the index's 1-, 2- or 4-byte ints (see :class:`Index`), made on each
+        call, so the handle's arrays cannot be written through them.  An
+        unseen term has three empty columns of the same width.
         """
         self._ensure_loaded()
         doc_ids, tfs, positions = self._postings.get(term, self._no_postings)
         return doc_ids, memoryview(tfs).toreadonly(), memoryview(positions).toreadonly()
 
-    def postings(self, term: str) -> PostingList:
-        """The ``(doc_id, tf, positions)`` rows of *term*, ascending doc_id.
-
-        Built from :meth:`columns` on each call.
-        """
+    def postings(self, term: str) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """The ``(doc_id, tf, positions)`` rows of *term*, ascending doc_id,
+        all tuples: a row view of :meth:`columns` for outside callers, built
+        on each call."""
         doc_ids, tfs, positions = self.columns(term)
-        return tuple(zip(doc_ids, tfs, map(tuple, map(positions.__getitem__, doc_slices(tfs)))))
+        return tuple((i, tf, tuple(positions[end - tf : end])) for i, tf, end in zip(doc_ids, tfs, accumulate(tfs)))
 
     def df(self, term: str) -> int:
         return len(self.columns(term)[0])

@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 from .algebra import PipelineNode, execute
 from .errors import BindError, DataError, FlowrankError, NotServable, ValidationError
 from .frames import Relation, canonical_columns
-from .inspect import output_columns
+from .inspect import format_value, output_columns
 
 PROTOCOL_VERSION = "2025-03-26"
 SERVER_NAME = "flowrank-mcp"
@@ -122,13 +122,9 @@ def relation_to_json_rows(rel: Relation) -> list[dict]:
     return [{k: _json_value(v) for k, v in zip(names, row)} for row in rel.rows]
 
 
-def _text_cell(value) -> str:
-    return f"{value:.6f}" if isinstance(value, float) else str(value)
-
-
 def relation_to_text(rel: Relation) -> str:
     """Human-readable tab-separated rendering for chat clients."""
-    return "\n".join(["\t".join(rel.columns), *("\t".join(map(_text_cell, row)) for row in rel.rows)])
+    return "\n".join(["\t".join(rel.columns), *("\t".join(map(format_value, row)) for row in rel.rows)])
 
 
 def _escaped(text: str) -> str:
@@ -161,7 +157,7 @@ def _encode_column(values: tuple) -> tuple:
     if kinds == {int}:
         cells = list(map(repr, values))
         return cells, "%s", cells
-    return [json.dumps(_json_value(v)) for v in values], "%s", [_escaped(_text_cell(v)) for v in values]
+    return [json.dumps(_json_value(v)) for v in values], "%s", [_escaped(format_value(v)) for v in values]
 
 
 def _interleaved(columns: list, n_rows: int) -> tuple:
@@ -278,7 +274,7 @@ class _Dispatcher:
         if not isinstance(params, dict):
             return _rpc_error(id_, INVALID_PARAMS, "params must be an object")
         name = params.get("name")
-        if name not in self.tools:
+        if not isinstance(name, str) or name not in self.tools:
             return _rpc_error(id_, INVALID_PARAMS, f"unknown tool: {name!r}")
         arguments = params.get("arguments")
         if not isinstance(arguments, dict) or not isinstance(arguments.get("queries"), list):

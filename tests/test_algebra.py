@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from flowrank.algebra import Leaf, RRF, Then, execute, linear, rr_fusion, then
+from flowrank.algebra import Leaf, Linear, RRF, Then, execute, linear, rr_fusion, then
 from flowrank.errors import DataError, InvalidK, UnknownDocno, ValidationError, WeightLengthMismatch
 from flowrank.frames import Relation
 from flowrank.transformers import bm25_retriever, lexical_rescorer, text_loader
@@ -198,6 +198,31 @@ class TestFusionChildren:
         with pytest.raises(DataError, match=r"duplicate \(qid, docno\) value \('q1', 'd1'\)") as err:
             execute(node, EMPTY_INPUT)
         assert err.value.path == (1,)
+
+
+class TestRefusedShapes:
+    """Node shapes that the constructors refuse."""
+
+    def test_then_with_one_child(self):
+        with pytest.raises(ValueError, match="a sequential node needs at least two children"):
+            Then((run_of("a", []),))
+
+    def test_linear_with_no_child(self):
+        with pytest.raises(ValueError, match="a linear node needs at least one child"):
+            Linear((), ())
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_linear_with_a_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match="linear weights must be finite"):
+            Linear((run_of("a", []),), (weight,))
+
+    def test_rrf_with_one_child(self):
+        with pytest.raises(ValueError, match="rank fusion needs at least two children"):
+            RRF((run_of("a", []),))
+
+    def test_linear_combination_of_one_child(self):
+        with pytest.raises(ValueError, match="linear combination needs at least two children"):
+            linear([run_of("a", [])], [1.0])
 
 
 class TestExecute:

@@ -253,6 +253,10 @@ class TestInspectCommand:
         assert "[0] bm25" in out and "[1] text_loader" in out
         assert "k1=1.200000" in out
 
+    def test_pipeline_accepting_no_input_prints_none(self, workspace, capsys):
+        assert main(["inspect", "--index", "ix", "--pipeline", "answer >> bm25"]) == 0
+        assert capsys.readouterr().out.startswith("accepted inputs:\n  (none)\nsubtransformers:\n  [0] answer\n")
+
 
 class TestSchematicCommand:
     def test_text_format(self, workspace, capsys):
@@ -269,6 +273,11 @@ class TestSchematicCommand:
         assert code == 0
         html = out_file.read_text(encoding="utf-8")
         assert 'data-schematic-version="1"' in html and 'data-path=""' in html
+
+    def test_pipeline_accepting_no_input_is_refused(self, workspace, capsys):
+        assert main(["schematic", "--index", "ix", "--pipeline", "answer >> bm25"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: pipeline accepts no input configuration\n")
 
 
 class TestServeCommand:
@@ -287,6 +296,12 @@ class TestServeCommand:
         assert capsys.readouterr().err == "error: --pipelines names the tool 'a' more than once\n"
         assert served == []
 
+    def test_entry_without_a_name_is_refused_before_binding(self, workspace, capsys, monkeypatch):
+        served = []
+        monkeypatch.setattr("flowrank.cli.serve", served.append)
+        assert main(["serve", "--index", "ix", "--pipelines", "search", "--port", "0"]) == 1
+        assert capsys.readouterr().err == "error: --pipelines entries must look like name=expr, got 'search'\n"
+        assert served == []
 
     @pytest.mark.parametrize("port", ["70000", "-1"])
     def test_a_port_outside_0_65535_is_a_domain_error(self, workspace, port):

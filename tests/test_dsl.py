@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from flowrank.algebra import Leaf, RRF, Then, execute
+from flowrank.algebra import DEFAULT_RRF_K, Leaf, RRF, Then, execute, then
 from flowrank.dsl import _MAX_NESTING, ELinear, ERef, ERRF, EThen, elaborate, parse, render
 from flowrank.errors import BadArgument, InvalidK, ParseError, UnknownTransformer
 from flowrank.inspect import validate
+from flowrank.transformers import bm25_retriever, text_loader
 
 from conftest import random_expr
 
@@ -35,6 +36,30 @@ class TestParse:
 
     def test_kwargs(self):
         assert parse('x(k1=0.9, n=5, s="hi")') == ERef("x", (("k1", 0.9), ("n", 5), ("s", "hi")))
+
+    def test_rrf_without_k_has_the_default_k(self):
+        assert parse("rrf(a, b)") == ERRF((ERef("a"), ERef("b")), DEFAULT_RRF_K)
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("bm25(k1=0.5, k1=2.0)", "1:14: keyword 'k1' given twice"),
+            ('x(a=1, b="s", a=1)', "1:15: keyword 'a' given twice"),
+        ],
+    )
+    def test_repeated_keyword_is_a_parse_error(self, source, message):
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [("rrf(a, b, k=x)", {"FLOAT"}), ("x(k1=bm25)", {"FLOAT", "INT", "STRING"})],
+    )
+    def test_a_name_where_a_value_goes_is_a_parse_error(self, source, expected):
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert err.value.expected == expected
 
     def test_parse_error_position(self):
         with pytest.raises(ParseError) as err:
@@ -162,6 +187,10 @@ class TestRender:
     def test_parenthesizes_chain_inside_weight(self, toy_registry):
         node = elaborate(parse("0.5*(sdm >> wbm25) + 0.5*bm25"), toy_registry)
         assert render(node) == "0.5*(sdm >> wbm25) + 0.5*bm25"
+
+    def test_leaves_without_a_ref_render_their_transformer_names(self, toy_index):
+        node = then(Leaf(bm25_retriever(toy_index)), Leaf(text_loader(toy_index)))
+        assert render(node) == "bm25 >> text_loader"
 
     def test_kwargs_rendered(self, toy_registry):
         node = elaborate(parse("bm25(k1=0.9, num_results=5)"), toy_registry)

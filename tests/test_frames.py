@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from flowrank.errors import DataError, FormatError, MissingColumn, UnknownDocno
 from flowrank.frames import (
+    FrameKind,
     Relation,
     classify_frame,
     format_trec_run,
@@ -47,6 +48,17 @@ class TestClassifyFrame:
         a = classify_frame(["qid", "query"])
         b = classify_frame(["query", "qid"])
         assert a == b
+
+    def test_extended_kind_prints_its_abbreviation(self):
+        assert str(FrameKind("R", True)) == "R+"
+
+    @pytest.mark.parametrize(
+        "base, message",
+        [("X", "invalid frame base 'X'"), (None, "a frame with no base kind is always extended")],
+    )
+    def test_invalid_kinds_are_refused(self, base, message):
+        with pytest.raises(DataError, match=message):
+            FrameKind(base)
 
 
 class TestRelationInvariants:

@@ -453,6 +453,20 @@ class TestLoadIndex:
             load_index(out).postings("fox")
         assert str(err.value) == f"corrupt index file {out / 'meta.json'}: bad stats fields: {message}"
 
+    @pytest.mark.parametrize(
+        "name, key", [("meta.json", b'"n_docs":'), ("docs.jsonl", b'"doc_len":'), ("postings.jsonl", b'"df":')]
+    )
+    def test_an_integer_past_the_digit_limit_is_corrupt(self, tmp_path, name, key):
+        # more digits than int() converts: json.loads raises a plain ValueError
+        out = tmp_path / "ix"
+        build_index(TOY5, out)
+        data = (out / name).read_bytes()
+        (out / name).write_bytes(data.replace(key, key + b"9" * 5000, 1))
+        with pytest.raises(CorruptIndex) as err:
+            load_index(out).columns("fox")
+        where = "invalid JSON" if name == "meta.json" else "line 1"
+        assert str(err.value).startswith(f"corrupt index file {out / name}: {where}: Exceeds the limit")
+
     @pytest.mark.parametrize("name", ["meta.json", "docs.jsonl", "postings.jsonl"])
     def test_deep_nesting_is_corrupt(self, tmp_path, name):
         # deeper than the JSON decoder recurses: a RecursionError, not a ValueError

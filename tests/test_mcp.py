@@ -163,6 +163,13 @@ class TestProtocol:
         )
         assert resp["error"]["code"] == -32602
 
+    @pytest.mark.parametrize("name", [["bm25"], {"bm25": "bm25"}, [], {}])
+    def test_tool_name_that_is_not_a_string_is_unknown(self, dispatcher, name):
+        params = {"name": name, "arguments": {"queries": []}}
+        reply = dispatcher.dispatch({"jsonrpc": "2.0", "id": 7, "method": "tools/call", "params": params})
+        error = {"code": -32602, "message": f"unknown tool: {name!r}"}
+        assert json.loads(reply) == {"jsonrpc": "2.0", "id": 7, "error": error}
+
     def test_bad_query_items_are_invalid_params(self, server):
         resp = rpc(
             server.url,
